@@ -19,6 +19,7 @@ meshes differs from a global-h scaling only by a bounded factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -81,12 +82,18 @@ class FormParameters:
     alpha: float = 10.0
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"penalty must be positive, got alpha={self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(
+                f"penalty must be finite and positive, got alpha={self.alpha}"
+            )
         if self.p < 0:
             raise ValueError(f"degree must be nonnegative, got p={self.p}")
-        if not callable(self.omega) and self.omega <= 0.0:
-            raise ValueError(f"wavenumber must be positive, got omega={self.omega}")
+        if not callable(self.omega) and not (
+            math.isfinite(self.omega) and self.omega > 0.0
+        ):
+            raise ValueError(
+                f"wavenumber must be finite and positive, got omega={self.omega}"
+            )
 
 
 @dataclass

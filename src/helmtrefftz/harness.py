@@ -13,12 +13,14 @@ Four experiment suites are built in:
 
 Each (method, degree, level) combination yields one CSV row with the
 columns method,p,h,hnr,dofs,l2error,dgerror,omega,dofspwl.  Identical
-configurations produce byte-identical CSV files.
+configurations produce byte-identical CSV files at a fixed BLAS thread
+count.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,9 +117,14 @@ class RunConfig:
         if levels < 1:
             raise ValueError("need at least one refinement level")
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "omegas", tuple(float(o) for o in self.omegas))
-        if self.alpha <= 0.0:
-            raise ValueError("penalty alpha must be positive")
+        omegas = tuple(float(o) for o in self.omegas)
+        if not all(math.isfinite(o) and o > 0.0 for o in omegas):
+            raise ValueError(f"omegas must be finite and positive, got {omegas}")
+        object.__setattr__(self, "omegas", omegas)
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(
+                f"penalty alpha must be finite and positive, got alpha={self.alpha}"
+            )
 
 
 def _error_quad_order(p: int, bump: int) -> int:

@@ -46,6 +46,9 @@ __all__ = [
 # Singular values below RANK_TOLERANCE * sigma_max count as zero.
 RANK_TOLERANCE = 1e-10
 
+# merged warnings name at most this many elements
+_LISTED_ELEMENTS = 5
+
 
 class KernelDimensionWarning(RuntimeWarning):
     """Kernel dimension differs from the expected 2p+1."""
@@ -195,7 +198,15 @@ def local_trefftz_data(
 ) -> LocalTrefftzData:
     """Constraint matrix, kernel basis, and pseudo-inverse factors of one element."""
     W = assemble_constraint_matrix(mesh, element, p, omega, order=order)
-    return _finish_local_data(mesh, element, p, W, orthonormalize)
+    data = _finish_local_data(mesh, element, p, W, orthonormalize)
+    if data.kernel_dim != 2 * p + 1:
+        warnings.warn(
+            f"kernel dimension {data.kernel_dim} != {2 * p + 1} on element "
+            f"{element} at p={p}",
+            KernelDimensionWarning,
+            stacklevel=2,
+        )
+    return data
 
 
 def _finish_local_data(
@@ -214,13 +225,6 @@ def _finish_local_data(
         smax = s[0] if len(s) else 0.0
         rank = int(np.sum(s > RANK_TOLERANCE * smax))
         kernel = _kernel_from_svd(vt, rank)
-    if kernel.shape[1] != 2 * p + 1:
-        warnings.warn(
-            f"kernel dimension {kernel.shape[1]} != {2 * p + 1} on element "
-            f"{element} at p={p}",
-            KernelDimensionWarning,
-            stacklevel=2,
-        )
     sigma_min = float(s[rank - 1]) if rank > 0 else 0.0
     return LocalTrefftzData(
         element=element,
@@ -242,12 +246,28 @@ def all_local_trefftz(
     orthonormalize: bool | None = None,
     order: int | None = None,
 ) -> list[LocalTrefftzData]:
-    """Local Trefftz data for every element (batched constraint assembly)."""
+    """Local Trefftz data for every element (batched constraint assembly).
+
+    Elements whose kernel dimension is not 2p+1 are reported together in
+    one KernelDimensionWarning.
+    """
     W_all = _constraint_matrices(mesh, p, omega, order=order)
-    return [
+    local = [
         _finish_local_data(mesh, k, p, W_all[k], orthonormalize)
         for k in range(mesh.n_elements)
     ]
+    bad = [d.element for d in local if d.kernel_dim != 2 * p + 1]
+    if bad:
+        first = ", ".join(str(k) for k in bad[:_LISTED_ELEMENTS])
+        more = ", ..." if len(bad) > _LISTED_ELEMENTS else ""
+        warnings.warn(
+            f"kernel dimension != {2 * p + 1} at p={p} on {len(bad)} of "
+            f"{mesh.n_elements} elements ({first}{more}); the wavenumber may be "
+            "under-resolved or the basis ill-conditioned on these elements",
+            KernelDimensionWarning,
+            stacklevel=2,
+        )
+    return local
 
 
 def local_rhs(
@@ -279,11 +299,13 @@ def all_local_rhs(
     return [LocalRhs(k, p, moments[k]) for k in range(mesh.n_elements)]
 
 
-def particular_solution(data: LocalTrefftzData, rhs: LocalRhs) -> np.ndarray:
+def _pseudo_inverse_solve(
+    data: LocalTrefftzData, rhs: LocalRhs
+) -> tuple[np.ndarray, float, bool]:
     """Minimum-norm solution of W u = rhs via the pseudo-inverse.
 
-    Warns when the moments are not in the range of W (rank-deficient
-    constraint with incompatible data).
+    Returns (u, ||W u - rhs||, whether that residual puts the moments
+    outside the range of W).
     """
     if data.element != rhs.element or data.degree != rhs.degree:
         raise ValueError("local data and right-hand side from different (K, p)")
@@ -293,7 +315,17 @@ def particular_solution(data: LocalTrefftzData, rhs: LocalRhs) -> np.ndarray:
     )
     scale = 1.0 + np.linalg.norm(rhs.moments)
     resid = np.linalg.norm(data.matrix @ coeffs - rhs.moments)
-    if resid > 1e-10 * scale:
+    return coeffs, resid, resid > 1e-10 * scale
+
+
+def particular_solution(data: LocalTrefftzData, rhs: LocalRhs) -> np.ndarray:
+    """Minimum-norm solution of W u = rhs via the pseudo-inverse.
+
+    Warns when the moments are not in the range of W (rank-deficient
+    constraint with incompatible data).
+    """
+    coeffs, resid, incompatible = _pseudo_inverse_solve(data, rhs)
+    if incompatible:
         warnings.warn(
             f"constraint residual {resid:.3e} on element {data.element}: "
             "moments not in the range of the constraint matrix",

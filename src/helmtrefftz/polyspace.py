@@ -7,6 +7,16 @@ The basis on a triangle K with incenter c and diameter h is
 in graded lexicographic order (constant first).  Gradients carry a 1/h
 factor and Laplacians 1/h^2, so all derivative formulas are exact.
 
+Evaluation at points builds one power table per coordinate, X**k and
+Y**k for k = 0..p, with the float-exponent power, and gathers every
+column of the values, gradients and Laplacians from those two tables
+with np.take (C-contiguous results, so downstream einsum sums in a
+fixed order).  Each entry is therefore bitwise the closed form
+X**a * Y**b and its derivative formulas.  Repeated multiplication
+would be cheaper but rounds differently, which moves errors at the
+round-off floor (sinsin p=12).  Derivative tables are built only when
+read.
+
 Triangle quadrature uses a collapsed Gauss-Legendre x Gauss-Jacobi
 product rule on the reference triangle: positive weights, exact for any
 requested total degree in the supported range.
@@ -15,7 +25,7 @@ requested total degree in the supported range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -60,16 +70,52 @@ def monomial_exponents(p: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
 class BasisEval:
     """Basis values and derivatives at a set of points.
 
     values : (..., n) ; gradients : (..., n, 2) ; laplacians : (..., n)
+
+    Each table is gathered from the power tables X**k, Y**k (k = 0..p) on
+    first access and kept, so callers pay only for the tables they read.
     """
 
-    values: np.ndarray
-    gradients: np.ndarray
-    laplacians: np.ndarray
+    def __init__(
+        self, x_powers: np.ndarray, y_powers: np.ndarray, p: int, inv_h: np.ndarray
+    ):
+        exps = monomial_exponents(p)
+        self._ia = exps[:, 0]
+        self._ib = exps[:, 1]
+        self._a = self._ia.astype(float)
+        self._b = self._ib.astype(float)
+        self._x_powers = x_powers
+        self._y_powers = y_powers
+        self._inv_h = inv_h
+
+    def _xa(self, shift: int = 0) -> np.ndarray:
+        """Column i holds X**max(a_i - shift, 0)."""
+        return np.take(self._x_powers, np.maximum(self._ia - shift, 0), axis=-1)
+
+    def _yb(self, shift: int = 0) -> np.ndarray:
+        return np.take(self._y_powers, np.maximum(self._ib - shift, 0), axis=-1)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self._xa() * self._yb()
+
+    @cached_property
+    def gradients(self) -> np.ndarray:
+        a, b, inv_h = self._a, self._b, self._inv_h
+        gx = a * self._xa(1) * self._yb() * inv_h
+        gy = b * self._xa() * self._yb(1) * inv_h
+        return np.stack([gx, gy], axis=-1)
+
+    @cached_property
+    def laplacians(self) -> np.ndarray:
+        a, b, inv_h = self._a, self._b, self._inv_h
+        xa, yb = self._xa(), self._yb()
+        return (
+            a * (a - 1.0) * self._xa(2) * yb + b * (b - 1.0) * xa * self._yb(2)
+        ) * inv_h**2
 
 
 def _monomial_tables(
@@ -79,25 +125,11 @@ def _monomial_tables(
 
     centers (..., 2) and scales (...) broadcast against points (..., Q, 2).
     """
-    exps = monomial_exponents(p)
-    a = exps[:, 0].astype(float)
-    b = exps[:, 1].astype(float)
+    k = np.arange(p + 1, dtype=float)
     inv_h = 1.0 / np.asarray(scales)[..., None, None]
     X = (points[..., 0] - np.asarray(centers)[..., None, 0])[..., None] * inv_h
     Y = (points[..., 1] - np.asarray(centers)[..., None, 1])[..., None] * inv_h
-
-    xa = X ** a
-    yb = Y ** b
-    xa1 = X ** np.maximum(a - 1.0, 0.0)
-    yb1 = Y ** np.maximum(b - 1.0, 0.0)
-    xa2 = X ** np.maximum(a - 2.0, 0.0)
-    yb2 = Y ** np.maximum(b - 2.0, 0.0)
-
-    values = xa * yb
-    gx = a * xa1 * yb * inv_h
-    gy = b * xa * yb1 * inv_h
-    lap = (a * (a - 1.0) * xa2 * yb + b * (b - 1.0) * xa * yb2) * inv_h**2
-    return BasisEval(values, np.stack([gx, gy], axis=-1), lap)
+    return BasisEval(X**k, Y**k, p, inv_h)
 
 
 def eval_basis(geom: ElementGeometry, p: int, points: np.ndarray) -> BasisEval:

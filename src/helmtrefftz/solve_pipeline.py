@@ -15,6 +15,7 @@ too coarse for the requested wavenumber.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,9 +26,9 @@ import scipy.sparse.linalg as spla
 from .dg_assembly import FormParameters, assemble_rhs, assemble_sipdg
 from .local_trefftz import (
     LocalTrefftzData,
+    _pseudo_inverse_solve,
     all_local_rhs,
     all_local_trefftz,
-    particular_solution,
 )
 from .mesh import Mesh
 from .polyspace import (
@@ -128,17 +129,32 @@ def particular_field(
     f: Callable | None,
     order: int | None = None,
 ) -> np.ndarray:
-    """Stack the per-element minimum-norm particular solutions."""
+    """Stack the per-element minimum-norm particular solutions.
+
+    Elements whose moments lie outside the range of their constraint are
+    reported together in one warning naming the worst residual.
+    """
     p = local_data[0].degree
     n = dim_poly(p)
     u_f = np.zeros(mesh.n_elements * n, dtype=complex)
     if f is None:
         return u_f
+    incompatible = []
     for data, rhs in zip(local_data, all_local_rhs(mesh, p, f, order=order)):
         if np.any(rhs.moments):
-            u_f[data.element * n : (data.element + 1) * n] = particular_solution(
-                data, rhs
-            )
+            coeffs, resid, bad = _pseudo_inverse_solve(data, rhs)
+            u_f[data.element * n : (data.element + 1) * n] = coeffs
+            if bad:
+                incompatible.append((resid, data.element))
+    if incompatible:
+        worst, element = max(incompatible)
+        warnings.warn(
+            f"constraint residual {worst:.3e} on element {element}, the worst of "
+            f"{len(incompatible)} elements: moments not in the range of the "
+            "constraint matrix",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return u_f
 
 

@@ -10,6 +10,9 @@ omega=100 up to 128 rings: its p=2 crossings need direct solves of up to
 about 12 minutes and peaks near 3.9 GB of RSS on a 2-core machine.  On a
 smaller host, lower HELMTREFFTZ_PLANEWAVE_DOF_CAP (default 600000); the
 criterion then fails, naming the degrees whose crossing the cap cut off.
+
+The criteria that read an experiment sweep are marked ``slow``;
+``pytest -m "not slow"`` runs everything else.
 """
 
 import os
@@ -135,6 +138,7 @@ def planewave_walks():
     return walks
 
 
+@pytest.mark.slow
 def test_criterion_h_convergence(hankel_reports):
     # unit square, radiating solution, omega=10: final EOC near p (DG norm)
     # and p+1 (L2 norm) for both methods at p = 3, 4, 5
@@ -150,6 +154,7 @@ def test_criterion_h_convergence(hankel_reports):
     report("h-convergence rates (hankel)", ok, "; ".join(lines))
 
 
+@pytest.mark.slow
 def test_criterion_p_convergence(sinsin_reports):
     # fixed coarse mesh: log10(dgerror) falls by >= 0.6 per degree on p=3..9
     ok = True
@@ -165,6 +170,7 @@ def test_criterion_p_convergence(sinsin_reports):
     report("p-convergence (sinsin, drops over p=3..9)", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_dof_reduction(hankel_reports):
     mesh = build_unit_square_mesh(2)
     ok = True
@@ -270,6 +276,7 @@ def test_criterion_complex_symmetry():
     )
 
 
+@pytest.mark.slow
 def test_criterion_variable_wavenumber(varomega_reports):
     lines = []
     ok = True
@@ -283,6 +290,7 @@ def test_criterion_variable_wavenumber(varomega_reports):
     report("variable-wavenumber rates (5 + sin x + y^2)", ok, "; ".join(lines))
 
 
+@pytest.mark.slow
 def test_criterion_large_omega_threshold_trend(planewave_walks):
     # accuracy threshold: first ladder point with L2 error below 0.1;
     # its dofs-per-wavelength must strictly decrease from p=2 to p=4
@@ -403,6 +411,7 @@ def test_criterion_bessel_accuracy():
     )
 
 
+@pytest.mark.slow
 def test_method_comparability(hankel_reports):
     # matched Hankel runs: the two methods stay within a factor 5 in L2
     ok = True

@@ -50,6 +50,13 @@ def test_form_parameters_validation():
         FormParameters(omega=1.0, p=2, alpha=0.0)
     with pytest.raises(ValueError):
         FormParameters(omega=1.0, p=-1)
+    # nan <= 0 is False: non-finite values need their own check
+    for omega in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="omega"):
+            FormParameters(omega=omega, p=2)
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha"):
+            FormParameters(omega=1.0, p=2, alpha=alpha)
 
 
 def test_single_element_piecewise_constant():

@@ -106,6 +106,11 @@ def test_config_validation():
         RunConfig(experiment="hankel", degrees=(0,))
     with pytest.raises(ValueError):
         RunConfig(experiment="hankel", alpha=-1.0)
+    for omegas in ((float("nan"),), (-3.0,), (10.0, float("inf"))):
+        with pytest.raises(ValueError, match="omegas"):
+            RunConfig(experiment="planewave", omegas=omegas)
+    with pytest.raises(ValueError, match="alpha"):
+        RunConfig(experiment="hankel", alpha=float("nan"))
 
 
 def test_dof_budget_refusal():
@@ -185,6 +190,24 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     )
     assert code == 1
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option,value,field",
+    [
+        ("--omega", "nan", "omegas"),
+        ("--omega", "-3", "omegas"),
+        ("--alpha", "nan", "alpha"),
+    ],
+)
+def test_cli_rejects_bad_parameters(tmp_path, capsys, option, value, field):
+    out = tmp_path / "x.csv"
+    code = main(
+        ["run", "--experiment", "planewave", f"{option}={value}", "--out", str(out)]
+    )
+    assert code == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_missing_file(capsys):

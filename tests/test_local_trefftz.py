@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from helmtrefftz.local_trefftz import (
+    KernelDimensionWarning,
     all_local_trefftz,
     assemble_constraint_matrix,
     local_rhs,
@@ -103,6 +106,24 @@ def test_kernel_warning_on_unexpected_dimension():
     W = np.zeros((3, 10))  # rank-0 constraint: kernel is everything
     with pytest.warns(RuntimeWarning, match="kernel dimension"):
         trefftz_kernel(W, 3)
+
+
+def test_batched_kernel_warnings_merge_into_one():
+    # For constant omega > 0 the kernel dimension is 2p+1 in exact
+    # arithmetic; the raw-monomial rank decision at p=8 misses it on every
+    # element, which must yield one summary, not one warning per element.
+    mesh = build_unit_square_mesh(2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        local = all_local_trefftz(mesh, 8, 2.0, orthonormalize=False)
+    kernel_warnings = [
+        w for w in caught if issubclass(w.category, KernelDimensionWarning)
+    ]
+    assert all(d.kernel_dim != 17 for d in local)
+    assert len(kernel_warnings) == 1
+    message = str(kernel_warnings[0].message)
+    assert f"on {mesh.n_elements} of {mesh.n_elements} elements" in message
+    assert "(0, 1, 2, 3, 4, ...)" in message
 
 
 def test_weak_trefftz_residual_of_kernel_functions():

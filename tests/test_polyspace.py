@@ -4,8 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helmtrefftz.mesh import element_geometry, mesh_from_triangulation
+from helmtrefftz.mesh import (
+    build_unit_disk_mesh,
+    element_geometry,
+    mesh_from_triangulation,
+)
 from helmtrefftz.polyspace import (
+    MAX_QUAD_ORDER,
+    _monomial_tables,
     bubble_basis,
     dim_poly,
     edge_quadrature_rule,
@@ -64,6 +70,73 @@ def test_linear_gradient_constant():
     ev = eval_basis(geom, 1, pts)
     assert np.allclose(ev.gradients[..., idx, 0], 1.0 / geom.diameter)
     assert np.allclose(ev.gradients[..., idx, 1], 0.0)
+
+
+def closed_form_tables(centers, scales, p, points):
+    """X**a * Y**b and its derivative formulas, one float power per entry."""
+    exps = monomial_exponents(p)
+    a = exps[:, 0].astype(float)
+    b = exps[:, 1].astype(float)
+    inv_h = 1.0 / np.asarray(scales)[..., None, None]
+    X = (points[..., 0] - np.asarray(centers)[..., None, 0])[..., None] * inv_h
+    Y = (points[..., 1] - np.asarray(centers)[..., None, 1])[..., None] * inv_h
+    xa, yb = X**a, Y**b
+    gx = a * X ** np.maximum(a - 1.0, 0.0) * yb * inv_h
+    gy = b * xa * Y ** np.maximum(b - 1.0, 0.0) * inv_h
+    lap = (
+        a * (a - 1.0) * X ** np.maximum(a - 2.0, 0.0) * yb
+        + b * (b - 1.0) * xa * Y ** np.maximum(b - 2.0, 0.0)
+    ) * inv_h**2
+    return xa * yb, np.stack([gx, gy], axis=-1), lap
+
+
+def assert_tables_bitwise(ev, reference):
+    # downstream einsum sums in an order set by the memory layout, so
+    # equal values in another layout would still change the results
+    for table, expected in zip((ev.values, ev.gradients, ev.laplacians), reference):
+        assert table.shape == expected.shape
+        assert table.flags.c_contiguous
+        assert np.array_equal(table, expected)
+
+
+DISK = build_unit_disk_mesh(2)
+
+
+@pytest.mark.parametrize("p", range(15))
+def test_monomial_tables_volume_frames_bitwise(p):
+    order = min(2 * p + 2, MAX_QUAD_ORDER)
+    pts, _ = map_rule_to_triangle(quadrature_rule(order), DISK.tri_coords)
+    ev = _monomial_tables(DISK.incenters, DISK.diameters, p, pts)
+    assert ev.values.shape == pts.shape[:-1] + (dim_poly(p),)
+    assert_tables_bitwise(
+        ev, closed_form_tables(DISK.incenters, DISK.diameters, p, pts)
+    )
+
+
+@pytest.mark.parametrize("p", range(15))
+def test_monomial_tables_face_frames_bitwise(p):
+    fa = DISK.iface_arrays
+    nodes = edge_quadrature_rule(min(2 * p + 2, MAX_QUAD_ORDER)).nodes
+    tangents = (fa["v1"] - fa["v0"])[:, None, :]
+    pts = fa["v0"][:, None, :] + nodes[None, :, None] * tangents
+    for el in (fa["plus"], fa["minus"]):
+        centers, scales = DISK.incenters[el], DISK.diameters[el]
+        assert_tables_bitwise(
+            _monomial_tables(centers, scales, p, pts),
+            closed_form_tables(centers, scales, p, pts),
+        )
+
+
+@pytest.mark.parametrize("p", range(15))
+def test_eval_basis_scalar_frame_bitwise(p):
+    _, geom = make_element([[0.2, -0.1], [1.1, 0.3], [0.4, 1.2]])
+    rng = np.random.default_rng(p)
+    center, scale = np.asarray(geom.center), np.asarray(geom.diameter)
+    for pts in (center + 0.4 * rng.standard_normal((9, 2)), center):
+        assert_tables_bitwise(
+            eval_basis(geom, p, pts),
+            closed_form_tables(center, scale, p, np.atleast_2d(pts)),
+        )
 
 
 def reference_moment(a, b):

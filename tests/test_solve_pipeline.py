@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +12,11 @@ from helmtrefftz.dg_assembly import (
     residual,
 )
 from helmtrefftz.exact_solutions import plane_wave_case
-from helmtrefftz.local_trefftz import all_local_rhs, all_local_trefftz
+from helmtrefftz.local_trefftz import (
+    LocalTrefftzData,
+    all_local_rhs,
+    all_local_trefftz,
+)
 from helmtrefftz.mesh import build_unit_disk_mesh, build_unit_square_mesh, refine
 from helmtrefftz.polyspace import dim_poly
 from helmtrefftz.solve_pipeline import (
@@ -107,6 +113,25 @@ def test_gauge_freedom_of_particular_solution():
         )
         moved = solve_reduced_system(A, b, emb, u_f + shift)
         assert np.linalg.norm(moved - base) <= 1e-9 * np.linalg.norm(base)
+
+
+def test_particular_field_merges_residual_warnings():
+    # rank-0 constraints: every element's moments fall outside the range
+    mesh = build_unit_square_mesh(2)
+    W = np.zeros((dim_poly(0), dim_poly(2)))
+    u, s, vt = np.linalg.svd(W, full_matrices=True)
+    local = [
+        LocalTrefftzData(k, 2, W, vt.T, u, s, vt, rank=0, sigma_min=0.0)
+        for k in range(mesh.n_elements)
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        u_f = particular_field(mesh, local, lambda pts: np.ones(pts.shape[:-1]))
+    assert not np.any(u_f)
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    assert message.startswith("constraint residual")
+    assert f"the worst of {mesh.n_elements} elements" in message
 
 
 def test_two_step_equivalence():
