@@ -14,32 +14,30 @@ from helmtrefftz.error_analysis import (
     estimate_local_coercivity,
     estimate_norm_equivalence,
 )
-from helmtrefftz.local_trefftz import (
-    all_local_trefftz,
-    local_rhs,
-    particular_solution,
-)
+from helmtrefftz.local_trefftz import all_local_rhs, all_local_trefftz
 from helmtrefftz.mesh import build_unit_square_mesh
 from helmtrefftz.polyspace import dim_poly
+from helmtrefftz.solve_pipeline import particular_field
 
 mesh = build_unit_square_mesh(2)
 omega = 2.0
 
 print("== constraint kernels (element 0, omega = 2) ==")
 for p in range(2, 7):
-    data = all_local_trefftz(mesh, p, omega)[0]
-    resid = np.linalg.norm(data.matrix @ data.kernel, 2)
+    local = all_local_trefftz(mesh, p, omega)
+    resid = np.linalg.norm(local.matrices[0] @ local.kernels[0], 2)
     print(
-        f"p={p}: dim P^p = {dim_poly(p):3d}, kernel dim = {data.kernel_dim:2d} "
-        f"(= 2p+1), sigma_min = {data.sigma_min:.3e}, ||W E|| = {resid:.1e}"
+        f"p={p}: dim P^p = {dim_poly(p):3d}, kernel dim = {local.kernel_dims[0]:2d} "
+        f"(= 2p+1), sigma_min = {local.sigma_min[0]:.3e}, ||W E|| = {resid:.1e}"
     )
 
 print("\n== particular solution for f = 1 (p = 3) ==")
-data = all_local_trefftz(mesh, 3, omega)[0]
-rhs = local_rhs(mesh, 0, 3, lambda pts: np.ones(pts.shape[:-1]))
-u_f = particular_solution(data, rhs)
-print(f"moments residual: {np.linalg.norm(data.matrix @ u_f - rhs.moments):.2e}")
-print(f"kernel component: {np.abs(data.kernel.T @ u_f).max():.2e} (min-norm)")
+local = all_local_trefftz(mesh, 3, omega)
+source = lambda pts: np.ones(pts.shape[:-1])
+u_f = particular_field(mesh, local, source)[: dim_poly(3)].real  # f is real
+moments = all_local_rhs(mesh, 3, source)[0]
+print(f"moments residual: {np.linalg.norm(local.matrices[0] @ u_f - moments):.2e}")
+print(f"kernel component: {np.abs(local.kernels[0].T @ u_f).max():.2e} (min-norm)")
 
 print("\n== constants ==")
 for p in (1, 2, 4, 8):

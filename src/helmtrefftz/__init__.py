@@ -1,16 +1,7 @@
 """Embedded Trefftz DG and SIPDG solvers for the 2D Helmholtz problem."""
 
 from .bessel import hankel1_0, hankel1_1, j0_y0, j1_y1
-from .dg_assembly import (
-    DofMap,
-    FormParameters,
-    GlobalSystem,
-    assemble_rhs,
-    assemble_sipdg,
-    assemble_system,
-    average_jump,
-    residual,
-)
+from .dg_assembly import FormParameters, assemble_rhs, assemble_sipdg
 from .error_analysis import (
     ConstantEstimate,
     ErrorReport,
@@ -30,17 +21,7 @@ from .exact_solutions import (
     var_omega_case,
 )
 from .harness import RunConfig, emit_csv, parse_csv, run_experiment, summarize
-from .local_trefftz import (
-    KernelDimensionWarning,
-    LocalRhs,
-    LocalTrefftzData,
-    all_local_trefftz,
-    assemble_constraint_matrix,
-    local_rhs,
-    local_trefftz_data,
-    particular_solution,
-    trefftz_kernel,
-)
+from .local_trefftz import KernelDimensionWarning, LocalTrefftzData, all_local_trefftz
 from .mesh import (
     BoundaryFace,
     ElementGeometry,
@@ -48,7 +29,6 @@ from .mesh import (
     Mesh,
     build_unit_disk_mesh,
     build_unit_square_mesh,
-    dump_mesh,
     element_geometry,
     mesh_from_triangulation,
     refine,

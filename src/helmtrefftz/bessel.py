@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["j0_y0", "j1_y1", "j0", "y0", "j1", "y1", "hankel1_0", "hankel1_1"]
+__all__ = ["j0_y0", "j1_y1", "hankel1_0", "hankel1_1"]
 
 _SPLIT = 16.0
 _SERIES_TERMS = 48
@@ -126,22 +126,6 @@ def j1_y1(x):
     if scalar:
         return float(jf[0]), float(yf[0])
     return jf, yf
-
-
-def j0(x):
-    return j0_y0(x)[0]
-
-
-def y0(x):
-    return j0_y0(x)[1]
-
-
-def j1(x):
-    return j1_y1(x)[0]
-
-
-def y1(x):
-    return j1_y1(x)[1]
 
 
 def hankel1_0(x):

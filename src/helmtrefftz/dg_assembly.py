@@ -20,13 +20,12 @@ meshes differs from a global-h scaling only by a bounded factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .local_trefftz import omega_values
 from .mesh import Mesh
 from .polyspace import (
     MAX_QUAD_ORDER,
@@ -38,39 +37,12 @@ from .polyspace import (
 )
 
 __all__ = [
-    "DofMap",
     "FormParameters",
-    "GlobalSystem",
-    "average_jump",
+    "omega_values",
     "interior_face_h",
     "assemble_sipdg",
     "assemble_rhs",
-    "assemble_system",
-    "residual",
 ]
-
-
-@dataclass(frozen=True)
-class DofMap:
-    """Contiguous per-element blocks into the global coefficient vector."""
-
-    n_elements: int
-    block_size: int
-
-    @property
-    def total(self) -> int:
-        return self.n_elements * self.block_size
-
-    def offset(self, element: int) -> int:
-        return element * self.block_size
-
-    def element_slice(self, element: int) -> slice:
-        off = self.offset(element)
-        return slice(off, off + self.block_size)
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.arange(self.n_elements) * self.block_size
 
 
 @dataclass(frozen=True)
@@ -96,20 +68,11 @@ class FormParameters:
             )
 
 
-@dataclass
-class GlobalSystem:
-    """Assembled sparse complex-symmetric matrix and right-hand side."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    dofmap: DofMap = field(repr=False)
-
-
-def average_jump(face, trace_plus, trace_minus):
-    """Average and jump of traces across a face: ((v+ + v-)/2, v+ - v-)."""
-    trace_plus = np.asarray(trace_plus)
-    trace_minus = np.asarray(trace_minus)
-    return 0.5 * (trace_plus + trace_minus), trace_plus - trace_minus
+def omega_values(omega: float | Callable, points: np.ndarray) -> np.ndarray:
+    """Evaluate a constant or spatially varying wavenumber at points (..., 2)."""
+    if callable(omega):
+        return np.asarray(omega(points))
+    return np.broadcast_to(float(omega), np.asarray(points).shape[:-1])
 
 
 def interior_face_h(mesh: Mesh) -> np.ndarray:
@@ -138,7 +101,6 @@ def assemble_sipdg(mesh: Mesh, params: FormParameters) -> sp.csr_matrix:
     """Assemble the SIPDG matrix A with A[i, j] = a_h(phi_j, phi_i)."""
     p = params.p
     n = dim_poly(p)
-    dofmap = DofMap(mesh.n_elements, n)
     order = min(2 * p + 2, MAX_QUAD_ORDER)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
@@ -197,7 +159,7 @@ def assemble_sipdg(mesh: Mesh, params: FormParameters) -> sp.csr_matrix:
 
     A = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dofmap.total, dofmap.total),
+        shape=(mesh.n_elements * n, mesh.n_elements * n),
     )
     return A.tocsr()
 
@@ -233,17 +195,3 @@ def assemble_rhs(
         np.add.at(b, el, contrib)
 
     return b.ravel()
-
-
-def assemble_system(
-    mesh: Mesh, params: FormParameters, f: Callable, g: Callable
-) -> GlobalSystem:
-    """Assemble matrix and right-hand side together."""
-    A = assemble_sipdg(mesh, params)
-    b = assemble_rhs(mesh, params, f, g)
-    return GlobalSystem(A, b, DofMap(mesh.n_elements, dim_poly(params.p)))
-
-
-def residual(A: sp.spmatrix, b: np.ndarray, u: np.ndarray) -> float:
-    """Normalized linear-system residual ||A u - b|| / (1 + ||b||)."""
-    return float(np.linalg.norm(A @ u - b) / (1.0 + np.linalg.norm(b)))

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dg_assembly import _edge_points, interior_face_h
+from .dg_assembly import _edge_points, interior_face_h, omega_values
 from .exact_solutions import ManufacturedCase
-from .local_trefftz import _constraint_matrices
+from .local_trefftz import constraint_matrices
 from .mesh import Mesh, element_geometry
 from .polyspace import (
     MAX_QUAD_ORDER,
@@ -109,24 +109,18 @@ def l2_error(
 
 
 def dg_error(
-    field: SolutionField,
-    case: ManufacturedCase,
-    params=None,
-    order: int | None = None,
+    field: SolutionField, case: ManufacturedCase, order: int | None = None
 ) -> float:
     """DG energy norm of the error against a continuous exact solution.
 
-    The jump term carries p^2/h_F without the penalty factor alpha; the
-    optional params argument only cross-checks the degree.
+    The jump term carries p^2/h_F without the penalty factor alpha.
     """
     mesh = field.mesh
     p = field.degree
-    if params is not None and params.p != p:
-        raise ValueError(f"field degree {p} does not match params.p={params.p}")
     order = _error_order(p, order)
     pts, w, uh, grad_uh, coeffs = _field_volume_data(field, order)
 
-    om2 = case.omega_at(pts) ** 2
+    om2 = omega_values(case.omega, pts) ** 2
     diff = uh - case.u(pts)
     grad_diff = grad_uh - case.grad_u(pts)
     total = np.einsum("eqd,eq->", np.abs(grad_diff) ** 2, w)
@@ -151,7 +145,7 @@ def dg_error(
         el = fb["element"]
         vals = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_b).values
         diff_b = np.einsum("fmi,fi->fm", vals, coeffs[el]) - case.u(pts_b)
-        om_b = case.omega_at(pts_b)
+        om_b = omega_values(case.omega, pts_b)
         total += np.einsum("fm,fm->", om_b * np.abs(diff_b) ** 2, wb)
 
     return float(np.sqrt(total))
@@ -211,7 +205,7 @@ def estimate_local_coercivity(
         raise TypeError("coercivity diagnostic needs a constant wavenumber")
     geom = element_geometry(mesh, element)
     tri = mesh.tri_coords[element]
-    W = _constraint_matrices(mesh, p, float(omega), elements=np.array([element]))[0]
+    W = constraint_matrices(mesh, p, float(omega), elements=np.array([element]))[0]
     C_b = bubble_basis(geom, p).coefficients
     W_b = W @ C_b
 

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .bessel import hankel1_0, hankel1_1
-from .bessel import j0_y0, j1_y1  # noqa: F401  (re-exported Bessel entry points)
+from .dg_assembly import omega_values
 
 __all__ = [
     "ManufacturedCase",
@@ -45,16 +45,11 @@ class ManufacturedCase:
     omega_report: float | str = 0.0
     omega_representative: float = 0.0
 
-    def omega_at(self, points: np.ndarray) -> np.ndarray:
-        if callable(self.omega):
-            return np.asarray(self.omega(points))
-        return np.broadcast_to(self.omega, np.asarray(points).shape[:-1])
-
     def g(self, points: np.ndarray, normals: np.ndarray) -> np.ndarray:
         """Impedance data grad(u).n + i omega u on the boundary."""
         grad = self.grad_u(points)
         return np.einsum("...d,...d->...", grad, np.asarray(normals)) + (
-            1j * self.omega_at(points) * self.u(points)
+            1j * omega_values(self.omega, points) * self.u(points)
         )
 
 

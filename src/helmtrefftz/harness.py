@@ -35,13 +35,12 @@ from .exact_solutions import (
 )
 from .local_trefftz import all_local_trefftz
 from .mesh import Mesh, build_unit_disk_mesh, build_unit_square_mesh
-from .polyspace import MAX_QUAD_ORDER, dim_poly
+from .polyspace import MAX_QUAD_ORDER, _element_mass_grams, dim_poly
 from .solve_pipeline import (
     SingularSystemError,
     SolutionField,
     _direct_solve,
     _element_block_ordering,
-    _element_mass_grams,
     build_global_embedding,
     embedding_preconditioner,
     mass_preconditioner,

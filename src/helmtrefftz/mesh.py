@@ -10,7 +10,6 @@ bubble space construction needs.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,7 +26,6 @@ __all__ = [
     "build_unit_disk_mesh",
     "element_geometry",
     "refine",
-    "dump_mesh",
 ]
 
 
@@ -382,27 +380,3 @@ def refine(mesh: Mesh) -> Mesh:
     return mesh_from_triangulation(
         np.array(vertices), np.array(tris, dtype=int), domain_area=mesh.domain_area
     )
-
-
-def dump_mesh(mesh: Mesh) -> str:
-    """Plain-text dump of vertices, triangles and face lists for debugging."""
-    out = io.StringIO()
-    out.write(f"# vertices {len(mesh.vertices)}\n")
-    for v in mesh.vertices:
-        out.write(f"{v[0]!r} {v[1]!r}\n")
-    out.write(f"# triangles {mesh.n_elements}\n")
-    for t in mesh.triangles:
-        out.write(f"{t[0]} {t[1]} {t[2]}\n")
-    out.write(f"# interior_faces {len(mesh.interior_faces)}\n")
-    for fc in mesh.interior_faces:
-        out.write(
-            f"{fc.endpoints[0]} {fc.endpoints[1]} plus={fc.plus_element} "
-            f"minus={fc.minus_element} n=({fc.unit_normal[0]!r},{fc.unit_normal[1]!r})\n"
-        )
-    out.write(f"# boundary_faces {len(mesh.boundary_faces)}\n")
-    for fc in mesh.boundary_faces:
-        out.write(
-            f"{fc.endpoints[0]} {fc.endpoints[1]} element={fc.element} "
-            f"n=({fc.unit_normal[0]!r},{fc.unit_normal[1]!r})\n"
-        )
-    return out.getvalue()

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from .mesh import ElementGeometry, cross2
+from .mesh import ElementGeometry, Mesh, cross2
 
 __all__ = [
     "MAX_QUAD_ORDER",
@@ -260,6 +260,14 @@ def element_mass_gram(
     pts, w = _triangle_points_weights(np.asarray(tri_coords), max(order, 1))
     vals = eval_basis(geom, p, pts).values
     return np.einsum("qi,qj,q->ij", vals, vals, w)
+
+
+def _element_mass_grams(mesh: Mesh, p: int) -> np.ndarray:
+    """L2 Gram matrices of the degree-p basis on every element, (E, n, n)."""
+    order = min(2 * p + 2, MAX_QUAD_ORDER)
+    pts, w = map_rule_to_triangle(quadrature_rule(max(order, 1)), mesh.tri_coords)
+    vals = _monomial_tables(mesh.incenters, mesh.diameters, p, pts).values
+    return np.einsum("eqi,eqj,eq->eij", vals, vals, w)
 
 
 def element_stiffness_gram(

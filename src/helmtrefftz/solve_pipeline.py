@@ -26,18 +26,13 @@ import scipy.sparse.linalg as spla
 from .dg_assembly import FormParameters, assemble_rhs, assemble_sipdg
 from .local_trefftz import (
     LocalTrefftzData,
+    _index_groups,
     _pseudo_inverse_solve,
     all_local_rhs,
     all_local_trefftz,
 )
 from .mesh import Mesh
-from .polyspace import (
-    MAX_QUAD_ORDER,
-    _monomial_tables,
-    dim_poly,
-    map_rule_to_triangle,
-    quadrature_rule,
-)
+from .polyspace import _element_mass_grams, dim_poly
 
 __all__ = [
     "SingularSystemError",
@@ -74,18 +69,17 @@ class GlobalEmbedding:
     """Block-diagonal map from stacked Trefftz coefficients to V_h.
 
     matrix is real with orthonormal columns; column_offsets[k] is the
-    first Trefftz column of element k (length n_elements + 1).
+    first Trefftz column of element k (length n_elements + 1), and
+    blocks[k, :, :kernel dimension of k] is element k's diagonal block.
     """
 
     matrix: sp.csr_matrix
     column_offsets: np.ndarray
+    blocks: np.ndarray
 
     @property
     def n_columns(self) -> int:
         return self.matrix.shape[1]
-
-    def element_columns(self, element: int) -> slice:
-        return slice(self.column_offsets[element], self.column_offsets[element + 1])
 
 
 @dataclass
@@ -97,73 +91,42 @@ class SolutionField:
     mesh: Mesh
     method: str  # "embedded-trefftz" | "standard-dg"
 
-    def element_coefficients(self, element: int) -> np.ndarray:
-        n = dim_poly(self.degree)
-        return self.coefficients[element * n : (element + 1) * n]
 
-
-def build_global_embedding(local_data: list[LocalTrefftzData]) -> GlobalEmbedding:
-    """Stack per-element kernel bases into the sparse embedding matrix."""
-    if not local_data:
+def build_global_embedding(local: LocalTrefftzData) -> GlobalEmbedding:
+    """Stack the element kernel bases into the sparse embedding matrix."""
+    if not len(local):
         raise ValueError("no local data supplied")
-    n = dim_poly(local_data[0].degree)
-    kernel_dims = np.array([d.kernel_dim for d in local_data])
-    col_offsets = np.concatenate([[0], np.cumsum(kernel_dims)])
-    rows, cols, vals = [], [], []
-    for k, d in enumerate(local_data):
-        r = k * n + np.arange(n)
-        c = col_offsets[k] + np.arange(d.kernel_dim)
-        rows.append(np.repeat(r, d.kernel_dim))
-        cols.append(np.tile(c, n))
-        vals.append(d.kernel.ravel())
-    E = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(local_data) * n, int(col_offsets[-1])),
+    dims = local.kernel_dims
+    rows = np.full(len(local), dim_poly(local.degree))
+    return GlobalEmbedding(
+        _block_diag(local.kernels, rows, dims),
+        np.concatenate([[0], np.cumsum(dims)]),
+        local.kernels,
     )
-    return GlobalEmbedding(E.tocsr(), col_offsets)
 
 
 def particular_field(
-    mesh: Mesh,
-    local_data: list[LocalTrefftzData],
-    f: Callable | None,
-    order: int | None = None,
+    mesh: Mesh, local: LocalTrefftzData, f: Callable | None
 ) -> np.ndarray:
     """Stack the per-element minimum-norm particular solutions.
 
     Elements whose moments lie outside the range of their constraint are
     reported together in one warning naming the worst residual.
     """
-    p = local_data[0].degree
-    n = dim_poly(p)
-    u_f = np.zeros(mesh.n_elements * n, dtype=complex)
     if f is None:
-        return u_f
-    incompatible = []
-    for data, rhs in zip(local_data, all_local_rhs(mesh, p, f, order=order)):
-        if np.any(rhs.moments):
-            coeffs, resid, bad = _pseudo_inverse_solve(data, rhs)
-            u_f[data.element * n : (data.element + 1) * n] = coeffs
-            if bad:
-                incompatible.append((resid, data.element))
-    if incompatible:
-        worst, element = max(incompatible)
+        return np.zeros(len(local) * dim_poly(local.degree), dtype=complex)
+    moments = all_local_rhs(mesh, local.degree, f)
+    coeffs, resid, incompatible = _pseudo_inverse_solve(local, moments)
+    if incompatible.any():
+        worst = np.flatnonzero(incompatible)[np.argmax(resid[incompatible])]
         warnings.warn(
-            f"constraint residual {worst:.3e} on element {element}, the worst of "
-            f"{len(incompatible)} elements: moments not in the range of the "
-            "constraint matrix",
+            f"constraint residual {resid[worst]:.3e} on element {worst}, the worst "
+            f"of {np.count_nonzero(incompatible)} elements: moments not in the range "
+            "of the constraint matrix",
             RuntimeWarning,
             stacklevel=2,
         )
-    return u_f
-
-
-def _element_mass_grams(mesh: Mesh, p: int) -> np.ndarray:
-    """L2 Gram matrices of the degree-p basis on every element, (E, n, n)."""
-    order = min(2 * p + 2, MAX_QUAD_ORDER)
-    pts, w = map_rule_to_triangle(quadrature_rule(max(order, 1)), mesh.tri_coords)
-    vals = _monomial_tables(mesh.incenters, mesh.diameters, p, pts).values
-    return np.einsum("eqi,eqj,eq->eij", vals, vals, w)
+    return coeffs.astype(complex).ravel()
 
 
 def _whitener(gram: np.ndarray) -> np.ndarray:
@@ -179,20 +142,19 @@ def _whitener(gram: np.ndarray) -> np.ndarray:
     return q * (1.0 / np.sqrt(lam))[..., None, :]
 
 
-def _block_diag(blocks: list[np.ndarray] | np.ndarray) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    row0 = col0 = 0
-    for blk in blocks:
-        r, c = blk.shape
-        rr, cc = np.meshgrid(np.arange(r), np.arange(c), indexing="ij")
-        rows.append((row0 + rr).ravel())
-        cols.append((col0 + cc).ravel())
-        vals.append(blk.ravel())
-        row0 += r
-        col0 += c
+def _block_diag(
+    blocks: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray
+) -> sp.csr_matrix:
+    """Sparse block-diagonal matrix of blocks[k, :n_rows[k], :n_cols[k]]."""
+    r = np.arange(blocks.shape[1])[:, None]
+    c = np.arange(blocks.shape[2])[None, :]
+    keep = (r < n_rows[:, None, None]) & (c < n_cols[:, None, None])
+    row0 = np.cumsum(n_rows) - n_rows
+    col0 = np.cumsum(n_cols) - n_cols
+    rows = np.broadcast_to(row0[:, None, None] + r, blocks.shape)[keep]
+    cols = np.broadcast_to(col0[:, None, None] + c, blocks.shape)[keep]
     return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row0, col0),
+        (blocks[keep], (rows, cols)), shape=(n_rows.sum(), n_cols.sum())
     ).tocsr()
 
 
@@ -204,21 +166,20 @@ def mass_preconditioner(mesh: Mesh, p: int) -> sp.csr_matrix:
     the reciprocal-condition diagnostic tied to the operator rather than
     to the basis.  Solutions are mapped back to monomial coefficients.
     """
-    return _block_diag(_whitener(_element_mass_grams(mesh, p)))
+    sizes = np.full(mesh.n_elements, dim_poly(p))
+    return _block_diag(_whitener(_element_mass_grams(mesh, p)), sizes, sizes)
 
 
 def embedding_preconditioner(
     embedding: GlobalEmbedding, mass_grams: np.ndarray
 ) -> sp.csr_matrix:
     """Orthonormalizer of the Trefftz basis in the element L2 inner products."""
-    blocks = []
-    E = embedding.matrix
-    n = mass_grams.shape[1]
-    for k in range(len(mass_grams)):
-        cols = embedding.element_columns(k)
-        ek = E[k * n : (k + 1) * n, cols].toarray()
-        blocks.append(_whitener(ek.T @ mass_grams[k] @ ek))
-    return _block_diag(blocks)
+    dims = np.diff(embedding.column_offsets)
+    blocks = np.zeros((len(dims), dims.max(), dims.max()))
+    for dim, idx in _index_groups(dims):
+        ek = embedding.blocks[idx, :, :dim]
+        blocks[idx, :dim, :dim] = _whitener(ek.swapaxes(-1, -2) @ mass_grams[idx] @ ek)
+    return _block_diag(blocks, dims, dims)
 
 
 def _estimate_sigma_max(A: sp.spmatrix, iterations: int = 8) -> float:

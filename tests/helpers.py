@@ -3,6 +3,7 @@
 import numpy as np
 import sympy
 
+from helmtrefftz import local_trefftz
 from helmtrefftz.polyspace import (
     _monomial_tables,
     map_rule_to_triangle,
@@ -16,6 +17,27 @@ def zero_f(pts):
 
 def zero_g(pts, normals):
     return np.zeros(pts.shape[:-1], dtype=complex)
+
+
+def zero_constraints(monkeypatch, elements=None):
+    """Make the constraint matrices of some elements (default: all) zero.
+
+    A zero constraint has rank 0, so its kernel is the whole element space
+    and any nonzero moment lies outside its range.
+    """
+    original = local_trefftz.constraint_matrices
+
+    def zeroed(*args, **kwargs):
+        W = original(*args, **kwargs)
+        W[slice(None) if elements is None else elements] = 0.0
+        return W
+
+    monkeypatch.setattr(local_trefftz, "constraint_matrices", zeroed)
+
+
+def residual(A, b, u):
+    """Normalized linear-system residual ||A u - b|| / (1 + ||b||)."""
+    return float(np.linalg.norm(A @ u - b) / (1.0 + np.linalg.norm(b)))
 
 
 def project(mesh, p, func):

@@ -247,10 +247,9 @@ def test_criterion_kernel_dimension_law():
         mesh = build_unit_square_mesh(n)
         assert (1.0 + omega**2) * mesh.max_diameter <= 1.0
         for p in range(2, 9):
-            for data in all_local_trefftz(mesh, p, omega):
-                checked += 1
-                if data.kernel_dim != 2 * p + 1:
-                    violations += 1
+            local = all_local_trefftz(mesh, p, omega)
+            checked += len(local)
+            violations += np.count_nonzero(local.kernel_dims != 2 * p + 1)
     report(
         "kernel dimension law (2p+1 on resolved meshes)",
         violations == 0,

@@ -1,0 +1,54 @@
+"""Every demo runs to completion against the current library.
+
+The local-space tour takes about a second and runs always; the four
+sweep demos take about 90 s together and carry the slow marker.  Each
+runs in a fresh interpreter inside a temporary directory, because the
+sweep demos write their CSV tables to the working directory.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+SRC = DEMOS.parent / "src"
+
+
+def run_demo(name, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(DEMOS / name)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=900,
+    )
+
+
+def test_local_space_diagnostics_demo(tmp_path):
+    result = run_demo("local_space_diagnostics.py", tmp_path)
+    assert result.returncode == 0, result.stderr
+    for p in range(2, 7):
+        assert f"kernel dim = {2 * p + 1:2d} (= 2p+1)" in result.stdout
+    assert "moments residual" in result.stdout
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "name",
+    [
+        "hankel_h_convergence.py",
+        "sinsin_p_convergence.py",
+        "disk_large_wavenumber.py",
+        "variable_wavenumber.py",
+    ],
+)
+def test_sweep_demo(name, tmp_path):
+    result = run_demo(name, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "rows written to" in result.stdout

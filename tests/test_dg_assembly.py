@@ -5,15 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from helmtrefftz.dg_assembly import (
-    DofMap,
-    FormParameters,
-    assemble_rhs,
-    assemble_sipdg,
-    assemble_system,
-    average_jump,
-    residual,
-)
+from helmtrefftz.dg_assembly import FormParameters, assemble_rhs, assemble_sipdg
 from helmtrefftz.mesh import (
     build_unit_square_mesh,
     mesh_from_triangulation,
@@ -22,25 +14,7 @@ from helmtrefftz.mesh import (
 from helmtrefftz.polyspace import dim_poly
 
 
-from helpers import polynomial_problem, project, zero_f, zero_g
-
-
-def test_average_jump_identical_traces():
-    avg, jump = average_jump(None, 3.0, 3.0)
-    assert avg == 3.0 and jump == 0.0
-
-
-def test_average_jump_definition():
-    avg, jump = average_jump(None, 1.0, 0.0)
-    assert avg == 0.5 and jump == 1.0
-
-
-def test_dofmap_layout():
-    dm = DofMap(5, 10)
-    assert dm.total == 50
-    assert dm.offset(3) == 30
-    assert dm.element_slice(2) == slice(20, 30)
-    assert np.all(np.diff(dm.offsets) == 10)
+from helpers import polynomial_problem, project, residual, zero_f, zero_g
 
 
 def test_form_parameters_validation():
@@ -165,9 +139,11 @@ def test_patch_consistency_residual(p):
     mesh = refine(build_unit_square_mesh(2))
     omega = 3.0
     u_cb, f_cb, g_cb = polynomial_problem(p, omega)
-    system = assemble_system(mesh, FormParameters(omega=omega, p=p), f_cb, g_cb)
+    params = FormParameters(omega=omega, p=p)
+    A = assemble_sipdg(mesh, params)
+    b = assemble_rhs(mesh, params, f_cb, g_cb)
     coeffs = project(mesh, p, u_cb)
-    assert residual(system.matrix, system.rhs, coeffs) <= 1e-9
+    assert residual(A, b, coeffs) <= 1e-9
 
 
 def test_sparsity_ceiling():

@@ -6,7 +6,6 @@ import pytest
 from helmtrefftz.mesh import (
     build_unit_disk_mesh,
     build_unit_square_mesh,
-    dump_mesh,
     element_geometry,
     mesh_from_triangulation,
     refine,
@@ -149,9 +148,3 @@ def test_shape_regularity_across_refinements():
         ratio = (m.diameters / m.inradii).max()
         assert ratio <= 8.0
         m = refine(m)
-
-
-def test_dump_mesh_sections():
-    text = dump_mesh(build_unit_square_mesh(1))
-    for tag in ("# vertices", "# triangles", "# interior_faces", "# boundary_faces"):
-        assert tag in text

@@ -5,25 +5,19 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from helmtrefftz.dg_assembly import (
-    FormParameters,
-    assemble_rhs,
-    assemble_sipdg,
-    residual,
-)
+from helmtrefftz.dg_assembly import FormParameters, assemble_rhs, assemble_sipdg
 from helmtrefftz.exact_solutions import plane_wave_case
 from helmtrefftz.local_trefftz import (
-    LocalTrefftzData,
+    KernelDimensionWarning,
     all_local_rhs,
     all_local_trefftz,
 )
 from helmtrefftz.mesh import build_unit_disk_mesh, build_unit_square_mesh, refine
-from helmtrefftz.polyspace import dim_poly
+from helmtrefftz.polyspace import _element_mass_grams, dim_poly
 from helmtrefftz.solve_pipeline import (
     SingularSystemError,
     _direct_solve,
     _element_block_ordering,
-    _element_mass_grams,
     build_global_embedding,
     embedding_preconditioner,
     mass_preconditioner,
@@ -33,7 +27,14 @@ from helmtrefftz.solve_pipeline import (
     solve_standard_dg,
     trefftz_dof_count,
 )
-from helpers import polynomial_problem, project, zero_f, zero_g
+from helpers import (
+    polynomial_problem,
+    project,
+    residual,
+    zero_constraints,
+    zero_f,
+    zero_g,
+)
 
 
 def test_embedding_shape_and_orthogonality():
@@ -54,7 +55,7 @@ def test_embedding_block_structure():
     unit[emb.column_offsets[k]] = 1.0
     lifted = emb.matrix @ unit
     n = dim_poly(2)
-    assert np.allclose(lifted[k * n : (k + 1) * n], local[k].kernel[:, 0])
+    assert np.allclose(lifted[k * n : (k + 1) * n], local.kernels[k, :, 0])
     mask = np.ones(len(lifted), dtype=bool)
     mask[k * n : (k + 1) * n] = False
     assert np.all(lifted[mask] == 0.0)
@@ -115,15 +116,12 @@ def test_gauge_freedom_of_particular_solution():
         assert np.linalg.norm(moved - base) <= 1e-9 * np.linalg.norm(base)
 
 
-def test_particular_field_merges_residual_warnings():
+def test_particular_field_merges_residual_warnings(monkeypatch):
     # rank-0 constraints: every element's moments fall outside the range
     mesh = build_unit_square_mesh(2)
-    W = np.zeros((dim_poly(0), dim_poly(2)))
-    u, s, vt = np.linalg.svd(W, full_matrices=True)
-    local = [
-        LocalTrefftzData(k, 2, W, vt.T, u, s, vt, rank=0, sigma_min=0.0)
-        for k in range(mesh.n_elements)
-    ]
+    zero_constraints(monkeypatch)
+    with pytest.warns(KernelDimensionWarning):
+        local = all_local_trefftz(mesh, 2, 1.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         u_f = particular_field(mesh, local, lambda pts: np.ones(pts.shape[:-1]))
@@ -134,6 +132,22 @@ def test_particular_field_merges_residual_warnings():
     assert f"the worst of {mesh.n_elements} elements" in message
 
 
+@pytest.mark.parametrize("zeroed", [[], [3]], ids=["uniform", "ragged"])
+def test_embedding_preconditioner_orthonormalizes(zeroed, monkeypatch):
+    # E P has L2-orthonormal columns on every element, also when one
+    # element (3, with a zero constraint) has more kernel columns
+    mesh = build_unit_square_mesh(2)
+    p = 3
+    zero_constraints(monkeypatch, elements=zeroed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KernelDimensionWarning)
+        emb = build_global_embedding(all_local_trefftz(mesh, p, 2.0))
+    grams = _element_mass_grams(mesh, p)
+    T = emb.matrix @ embedding_preconditioner(emb, grams)
+    gram = (T.T @ sp.block_diag(list(grams)) @ T).toarray()
+    assert np.abs(gram - np.eye(emb.n_columns)).max() <= 1e-10
+
+
 def test_two_step_equivalence():
     # the embedded solution satisfies constraints and Galerkin equations
     mesh = build_unit_square_mesh(4)
@@ -142,11 +156,10 @@ def test_two_step_equivalence():
     u_cb, f_cb, g_cb = polynomial_problem(p, omega)
     field = solve_embedded_trefftz(mesh, params, f_cb, g_cb)
     local = all_local_trefftz(mesh, p, omega)
-    n = dim_poly(p)
-    for data, rhs in zip(local, all_local_rhs(mesh, p, f_cb)):
-        block = field.coefficients[data.element * n : (data.element + 1) * n]
-        resid = np.linalg.norm(data.matrix @ block - rhs.moments)
-        assert resid <= 1e-9 * (1.0 + np.linalg.norm(rhs.moments))
+    blocks = field.coefficients.reshape(mesh.n_elements, dim_poly(p), 1)
+    moments = all_local_rhs(mesh, p, f_cb)
+    resid = np.linalg.norm((local.matrices @ blocks)[..., 0] - moments, axis=1)
+    assert np.all(resid <= 1e-9 * (1.0 + np.linalg.norm(moments, axis=1)))
     emb = build_global_embedding(local)
     A = assemble_sipdg(mesh, params)
     b = assemble_rhs(mesh, params, f_cb, g_cb)
