@@ -69,10 +69,28 @@ class FormParameters:
 
 
 def omega_values(omega: float | Callable, points: np.ndarray) -> np.ndarray:
-    """Evaluate a constant or spatially varying wavenumber at points (..., 2)."""
-    if callable(omega):
-        return np.asarray(omega(points))
-    return np.broadcast_to(float(omega), np.asarray(points).shape[:-1])
+    """Evaluate a constant or spatially varying wavenumber at points (..., 2).
+
+    The values of a callable must be finite and positive.  Otherwise a
+    ValueError names the first offending point and its index along the
+    first axis of points, which is the element or the face in the stacked
+    quadrature arrays of the assembly and error routines.
+    """
+    if not callable(omega):
+        return np.broadcast_to(float(omega), np.asarray(points).shape[:-1])
+    points = np.asarray(points)
+    values = np.asarray(omega(points))
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    if bad.any():
+        bad = np.broadcast_to(bad, points.shape[:-1])
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        x, y = points[at]
+        where = f", index {at[0]} along the first axis (element or face)" if at else ""
+        raise ValueError(
+            f"wavenumber omega(x) must be finite and positive, got "
+            f"{np.broadcast_to(values, bad.shape)[at]} at point ({x:.6g}, {y:.6g}){where}"
+        )
+    return values
 
 
 def interior_face_h(mesh: Mesh) -> np.ndarray:

@@ -94,8 +94,7 @@ def _field_volume_data(field: SolutionField, order: int):
     ev = _monomial_tables(mesh.incenters, mesh.diameters, p, pts)
     coeffs = field.coefficients.reshape(mesh.n_elements, dim_poly(p))
     uh = np.einsum("eqi,ei->eq", ev.values, coeffs)
-    grad_uh = np.einsum("eqid,ei->eqd", ev.gradients, coeffs)
-    return pts, w, uh, grad_uh, coeffs
+    return pts, w, ev, uh, coeffs
 
 
 def l2_error(
@@ -103,7 +102,7 @@ def l2_error(
 ) -> float:
     """Broken L2 distance between the discrete field and the exact solution."""
     order = _error_order(field.degree, order)
-    pts, w, uh, _, _ = _field_volume_data(field, order)
+    pts, w, _, uh, _ = _field_volume_data(field, order)
     diff = uh - case.u(pts)
     return float(np.sqrt(np.einsum("eq,eq->", np.abs(diff) ** 2, w)))
 
@@ -118,7 +117,8 @@ def dg_error(
     mesh = field.mesh
     p = field.degree
     order = _error_order(p, order)
-    pts, w, uh, grad_uh, coeffs = _field_volume_data(field, order)
+    pts, w, ev, uh, coeffs = _field_volume_data(field, order)
+    grad_uh = np.einsum("eqid,ei->eqd", ev.gradients, coeffs)
 
     om2 = omega_values(case.omega, pts) ** 2
     diff = uh - case.u(pts)

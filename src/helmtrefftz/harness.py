@@ -131,7 +131,11 @@ def _error_quad_order(p: int, bump: int) -> int:
 
 
 def _solve_both_methods(mesh, params, case, methods, context):
-    """Solve the shared assembled system once per requested method."""
+    """Solve the shared assembled system once per requested method.
+
+    The element mass Grams are built once here and shared by both
+    preconditioners and, for p >= 6, the kernel orthonormalization.
+    """
     A = assemble_sipdg(mesh, params)
     b = assemble_rhs(mesh, params, case.f, case.g)
     mass_grams = _element_mass_grams(mesh, params.p)
@@ -143,12 +147,12 @@ def _solve_both_methods(mesh, params, case, methods, context):
                     A,
                     b,
                     context=f"{context}, {method}",
-                    precond=mass_preconditioner(mesh, params.p),
+                    precond=mass_preconditioner(mass_grams),
                     ordering=_element_block_ordering(mesh, params.p),
                 )
                 dofs = A.shape[0]
             else:
-                local = all_local_trefftz(mesh, params.p, params.omega)
+                local = all_local_trefftz(mesh, params.p, params.omega, mass_grams)
                 embedding = build_global_embedding(local)
                 u_f = particular_field(mesh, local, case.f)
                 coeffs = solve_reduced_system(

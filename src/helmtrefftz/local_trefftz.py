@@ -125,9 +125,9 @@ def _index_groups(values: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return [(int(v), np.flatnonzero(values == v)) for v in np.unique(values)]
 
 
-def _orthonormalizers(mesh: Mesh, p: int) -> np.ndarray:
+def _orthonormalizers(mass_grams: np.ndarray) -> np.ndarray:
     """Inverse Cholesky factors R with (basis @ R) L2-orthonormal, (E, n, n)."""
-    chol = np.linalg.cholesky(_element_mass_grams(mesh, p))
+    chol = np.linalg.cholesky(mass_grams)
     return np.linalg.inv(chol).swapaxes(-1, -2)
 
 
@@ -155,20 +155,28 @@ def _orthonormalized_kernels(
     return kernels
 
 
-def all_local_trefftz(mesh: Mesh, p: int, omega: float | Callable) -> LocalTrefftzData:
+def all_local_trefftz(
+    mesh: Mesh,
+    p: int,
+    omega: float | Callable,
+    mass_grams: np.ndarray | None = None,
+) -> LocalTrefftzData:
     """Constraint matrices, kernel bases and pseudo-inverse factors of all elements.
 
     For p >= 6 the rank and the kernel come from the constraint in
-    per-element L2-orthonormal trial and test coordinates.  Elements whose
-    kernel dimension is not 2p+1 are reported together in one
-    KernelDimensionWarning.
+    per-element L2-orthonormal trial and test coordinates; the degree-p
+    element mass Grams are built here unless the caller already has them
+    (_element_mass_grams(mesh, p)).  Elements whose kernel dimension is
+    not 2p+1 are reported together in one KernelDimensionWarning.
     """
     W = constraint_matrices(mesh, p, omega)
     u, s, vt = np.linalg.svd(W, full_matrices=True)
     n = W.shape[2]
     if p >= _ORTHONORMALIZE_FROM:
-        r_trial = _orthonormalizers(mesh, p)
-        r_test = _orthonormalizers(mesh, p - 2)
+        if mass_grams is None:
+            mass_grams = _element_mass_grams(mesh, p)
+        r_trial = _orthonormalizers(mass_grams)
+        r_test = _orthonormalizers(_element_mass_grams(mesh, p - 2))
         _, s_on, vt_on = np.linalg.svd(
             r_test.swapaxes(-1, -2) @ W @ r_trial, full_matrices=True
         )

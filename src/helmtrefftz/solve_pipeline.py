@@ -7,6 +7,17 @@ block-diagonal embedding E, reduces the global SIPDG system to
 E^T A E y = E^T (b - A u_f), and reconstructs u = E y + u_f.  The
 reduced matrix inherits complex symmetry from A because E is real.
 
+Every basis change here (the embedding, and the whitening
+preconditioners that make each element basis L2-orthonormal) is block
+diagonal with one real block per element, kept as a stacked array.  The
+matrix that is factored is therefore the block congruence T_r^T A_rc T_c
+over the nonzero element-pair blocks A_rc of A: _block_congruence reads
+those blocks once and forms every product with stacked einsum, which
+sums each entry in index order exactly as a sparse matrix product does,
+so the result is bitwise the sparse triple product T^T (A T).  BLAS
+matmul would sum in another order; at p = 12 that moves the round-off
+floor of the errors.
+
 All linear systems use a direct sparse LU factorization, in the mesh's
 nested-dissection order when the mesh is known; a reciprocal condition
 estimate below 1e-13 raises SingularSystemError, which signals a mesh
@@ -68,18 +79,18 @@ class SingularSystemError(RuntimeError):
 class GlobalEmbedding:
     """Block-diagonal map from stacked Trefftz coefficients to V_h.
 
-    matrix is real with orthonormal columns; column_offsets[k] is the
-    first Trefftz column of element k (length n_elements + 1), and
-    blocks[k, :, :kernel dimension of k] is element k's diagonal block.
+    Real with orthonormal columns; column_offsets[k] is the first Trefftz
+    column of element k (length n_elements + 1), and
+    blocks[k, :, :kernel dimension of k] is element k's diagonal block
+    (zero beyond it).
     """
 
-    matrix: sp.csr_matrix
     column_offsets: np.ndarray
     blocks: np.ndarray
 
     @property
     def n_columns(self) -> int:
-        return self.matrix.shape[1]
+        return int(self.column_offsets[-1])
 
 
 @dataclass
@@ -93,15 +104,11 @@ class SolutionField:
 
 
 def build_global_embedding(local: LocalTrefftzData) -> GlobalEmbedding:
-    """Stack the element kernel bases into the sparse embedding matrix."""
+    """Stack the element kernel bases into the block-diagonal embedding."""
     if not len(local):
         raise ValueError("no local data supplied")
-    dims = local.kernel_dims
-    rows = np.full(len(local), dim_poly(local.degree))
     return GlobalEmbedding(
-        _block_diag(local.kernels, rows, dims),
-        np.concatenate([[0], np.cumsum(dims)]),
-        local.kernels,
+        np.concatenate([[0], np.cumsum(local.kernel_dims)]), local.kernels
     )
 
 
@@ -142,44 +149,104 @@ def _whitener(gram: np.ndarray) -> np.ndarray:
     return q * (1.0 / np.sqrt(lam))[..., None, :]
 
 
-def _block_diag(
-    blocks: np.ndarray, n_rows: np.ndarray, n_cols: np.ndarray
-) -> sp.csr_matrix:
-    """Sparse block-diagonal matrix of blocks[k, :n_rows[k], :n_cols[k]]."""
-    r = np.arange(blocks.shape[1])[:, None]
-    c = np.arange(blocks.shape[2])[None, :]
-    keep = (r < n_rows[:, None, None]) & (c < n_cols[:, None, None])
-    row0 = np.cumsum(n_rows) - n_rows
-    col0 = np.cumsum(n_cols) - n_cols
-    rows = np.broadcast_to(row0[:, None, None] + r, blocks.shape)[keep]
-    cols = np.broadcast_to(col0[:, None, None] + c, blocks.shape)[keep]
-    return sp.coo_matrix(
-        (blocks[keep], (rows, cols)), shape=(n_rows.sum(), n_cols.sum())
-    ).tocsr()
+def mass_preconditioner(mass_grams: np.ndarray) -> np.ndarray:
+    """Blocks of the basis change making each element basis L2-orthonormal.
 
-
-def mass_preconditioner(mesh: Mesh, p: int) -> sp.csr_matrix:
-    """Block-diagonal basis change making each element basis L2-orthonormal.
-
-    Scaled monomials are increasingly ill-conditioned with p; solving in
-    the orthonormalized coordinates keeps the factorization accuracy and
-    the reciprocal-condition diagnostic tied to the operator rather than
-    to the basis.  Solutions are mapped back to monomial coefficients.
+    Takes the element mass Grams (E, n, n) and returns the stacked
+    whiteners (E, n, n).  Scaled monomials are increasingly
+    ill-conditioned with p; solving in the orthonormalized coordinates
+    keeps the factorization accuracy and the reciprocal-condition
+    diagnostic tied to the operator rather than to the basis.  Solutions
+    are mapped back to monomial coefficients.
     """
-    sizes = np.full(mesh.n_elements, dim_poly(p))
-    return _block_diag(_whitener(_element_mass_grams(mesh, p)), sizes, sizes)
+    return _whitener(mass_grams)
 
 
 def embedding_preconditioner(
     embedding: GlobalEmbedding, mass_grams: np.ndarray
-) -> sp.csr_matrix:
-    """Orthonormalizer of the Trefftz basis in the element L2 inner products."""
+) -> np.ndarray:
+    """Orthonormalizer of the Trefftz basis in the element L2 inner products.
+
+    Returns stacked blocks (E, d, d), d the largest kernel dimension;
+    block k is zero beyond element k's kernel dimension.
+    """
     dims = np.diff(embedding.column_offsets)
     blocks = np.zeros((len(dims), dims.max(), dims.max()))
     for dim, idx in _index_groups(dims):
         ek = embedding.blocks[idx, :, :dim]
         blocks[idx, :dim, :dim] = _whitener(ek.swapaxes(-1, -2) @ mass_grams[idx] @ ek)
-    return _block_diag(blocks, dims, dims)
+    return blocks
+
+
+def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = imag
+    return out
+
+
+def _block_congruence(
+    A: sp.spmatrix, bases: list[np.ndarray], sizes: np.ndarray
+) -> sp.csc_matrix:
+    """T^T A T for the block-diagonal T = bases[0] bases[1] ..., as CSC.
+
+    A consists of n x n element-pair blocks, n = bases[0].shape[1]; each
+    basis is stacked real blocks (E, rows, columns), zero-padded, and
+    sizes[k] is the number of columns of element k after the last one.
+    The stages run in order, each as (T_r^T (A_rc T_c)) on every nonzero
+    block of A, with the real and imaginary parts apart.  einsum with
+    the summed index outside its inner loop adds the terms of every entry
+    in index order, so the values, the pattern (exact zeros dropped) and
+    the sorted indices equal those of the sparse product T^T (A T).
+    """
+    n = bases[0].shape[1]
+    bsr = A.tobsr(blocksize=(n, n))
+    rows = np.repeat(np.arange(len(bsr.indptr) - 1), np.diff(bsr.indptr))
+    cols = bsr.indices
+    parts = [np.ascontiguousarray(bsr.data.real), np.ascontiguousarray(bsr.data.imag)]
+    del bsr  # its complex copy of A would raise the peak memory
+    for T in bases:
+        left = np.ascontiguousarray(T.swapaxes(1, 2))[rows]
+        right = T[cols]
+        parts = [
+            np.einsum("bij,bjk->bik", left, np.einsum("bij,bjk->bik", D, right))
+            for D in parts
+        ]
+    idx = np.arange(parts[0].shape[1])
+    keep = (idx[:, None] < sizes[rows, None, None]) & (idx < sizes[cols, None, None])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    r = np.broadcast_to(offsets[rows, None, None] + idx[:, None], keep.shape)[keep]
+    c = np.broadcast_to(offsets[cols, None, None] + idx, keep.shape)[keep]
+    M = sp.csc_matrix((_complex(*parts)[keep], (r, c)), shape=(offsets[-1],) * 2)
+    M.eliminate_zeros()
+    return M
+
+
+def _transposed_products(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out[k] = blocks[k]^T v[k], each entry summed in index order."""
+    return _complex(
+        np.einsum("kji,kj->ki", blocks, v.real), np.einsum("kji,kj->ki", blocks, v.imag)
+    )
+
+
+def _basis_transpose_apply(
+    bases: list[np.ndarray], v: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """T^T v for T as in _block_congruence; bitwise the sparse product."""
+    v = np.asarray(v, dtype=complex).reshape(len(sizes), -1)
+    for T in bases:
+        v = _transposed_products(T, v)
+    return v[np.arange(v.shape[1]) < sizes[:, None]]
+
+
+def _basis_apply(bases: list[np.ndarray], y: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """T y for T as in _block_congruence; bitwise the sparse product."""
+    width = bases[-1].shape[2]
+    v = np.zeros((len(sizes), width), dtype=complex)
+    v[np.arange(width) < sizes[:, None]] = y
+    for T in reversed(bases):
+        v = _transposed_products(np.ascontiguousarray(T.swapaxes(1, 2)), v)
+    return v.ravel()
 
 
 def _estimate_sigma_max(A: sp.spmatrix, iterations: int = 8) -> float:
@@ -261,10 +328,14 @@ def _direct_solve(
     A: sp.spmatrix,
     b: np.ndarray,
     context: str,
-    precond: sp.spmatrix | None = None,
+    precond: np.ndarray | None = None,
     ordering: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sparse direct solve guarded by a reciprocal condition estimate.
+
+    With precond, the stacked blocks T_k (E, n, n) of a block-diagonal
+    basis change over A's n x n element blocks (see mass_preconditioner),
+    T^T A T y = T^T b is solved and T y returned.
 
     Given a fill-reducing dof ordering (from the mesh, see
     _dissection_ordering), the matrix is factored in that order with
@@ -274,8 +345,9 @@ def _direct_solve(
     pivoting is used, and only its guard raises SingularSystemError.
     """
     if precond is not None:
-        A = precond.T @ (A @ precond)
-        b = precond.T @ b
+        sizes = np.full(len(precond), precond.shape[2])
+        A = _block_congruence(A, [precond], sizes)
+        b = _basis_transpose_apply([precond], b, sizes)
     A_csc = sp.csc_matrix(A, dtype=complex)
     rhs = np.asarray(b, dtype=complex)
     sigma_max = _estimate_sigma_max(A_csc)
@@ -310,7 +382,7 @@ def _direct_solve(
                 "for this wavenumber",
             )
     if precond is not None:
-        x = precond @ x
+        x = _basis_apply([precond], x, sizes)
     return x
 
 
@@ -320,24 +392,25 @@ def solve_reduced_system(
     embedding: GlobalEmbedding,
     u_particular: np.ndarray,
     context: str = "reduced system",
-    precond: sp.spmatrix | None = None,
+    precond: np.ndarray | None = None,
     mesh: Mesh | None = None,
 ) -> np.ndarray:
     """Solve E^T A E y = E^T (b - A u_f) and return E y + u_f.
 
+    precond (see embedding_preconditioner) changes the Trefftz basis of
+    each element once more, to Q: the matrix factored is Q^T (E^T A E) Q.
     Given the mesh, the reduced system is factored in its nested
     dissection order.
     """
-    E = embedding.matrix
-    A_reduced = E.T @ (A @ E)
-    b_reduced = E.T @ (b - A @ u_particular)
+    bases = [embedding.blocks] if precond is None else [embedding.blocks, precond]
+    dims = np.diff(embedding.column_offsets)
+    A_reduced = _block_congruence(A, bases, dims)
+    b_reduced = _basis_transpose_apply(bases, b - A @ u_particular, dims)
     ordering = None
     if mesh is not None:
         ordering = _dissection_ordering(mesh, embedding.column_offsets)
-    y = _direct_solve(
-        A_reduced, b_reduced, context, precond=precond, ordering=ordering
-    )
-    return E @ y + u_particular
+    y = _direct_solve(A_reduced, b_reduced, context, ordering=ordering)
+    return _basis_apply(bases, y, dims) + u_particular
 
 
 def solve_embedded_trefftz(
@@ -351,12 +424,13 @@ def solve_embedded_trefftz(
     if params.p < 2:
         field = solve_standard_dg(mesh, params, f, g)
         return SolutionField(field.coefficients, field.degree, mesh, "embedded-trefftz")
-    local = all_local_trefftz(mesh, params.p, params.omega)
+    mass_grams = _element_mass_grams(mesh, params.p)
+    local = all_local_trefftz(mesh, params.p, params.omega, mass_grams)
     embedding = build_global_embedding(local)
     u_f = particular_field(mesh, local, f)
     A = assemble_sipdg(mesh, params)
     b = assemble_rhs(mesh, params, _zero_source if f is None else f, g)
-    precond = embedding_preconditioner(embedding, _element_mass_grams(mesh, params.p))
+    precond = embedding_preconditioner(embedding, mass_grams)
     coeffs = solve_reduced_system(
         A,
         b,
@@ -381,7 +455,7 @@ def solve_standard_dg(
         A,
         b,
         context=f"standard, p={params.p}, h={mesh.max_diameter:.4g}",
-        precond=mass_preconditioner(mesh, params.p),
+        precond=mass_preconditioner(_element_mass_grams(mesh, params.p)),
         ordering=_element_block_ordering(mesh, params.p),
     )
     return SolutionField(coeffs, params.p, mesh, "standard-dg")

@@ -1,6 +1,7 @@
 """Shared fixtures-in-spirit: projections and manufactured polynomial data."""
 
 import numpy as np
+import scipy.sparse as sp
 import sympy
 
 from helmtrefftz import local_trefftz
@@ -33,6 +34,27 @@ def zero_constraints(monkeypatch, elements=None):
         return W
 
     monkeypatch.setattr(local_trefftz, "constraint_matrices", zeroed)
+
+
+def block_diag_matrix(blocks, n_rows, n_cols):
+    """Sparse (CSR) block-diagonal matrix of blocks[k, :n_rows[k], :n_cols[k]]."""
+    r = np.arange(blocks.shape[1])[:, None]
+    c = np.arange(blocks.shape[2])[None, :]
+    keep = (r < n_rows[:, None, None]) & (c < n_cols[:, None, None])
+    row0 = np.cumsum(n_rows) - n_rows
+    col0 = np.cumsum(n_cols) - n_cols
+    rows = np.broadcast_to(row0[:, None, None] + r, blocks.shape)[keep]
+    cols = np.broadcast_to(col0[:, None, None] + c, blocks.shape)[keep]
+    return sp.coo_matrix(
+        (blocks[keep], (rows, cols)), shape=(n_rows.sum(), n_cols.sum())
+    ).tocsr()
+
+
+def embedding_matrix(embedding):
+    """The embedding E as a sparse matrix, dim P^p rows per element."""
+    dims = np.diff(embedding.column_offsets)
+    rows = np.full(len(dims), embedding.blocks.shape[1])
+    return block_diag_matrix(embedding.blocks, rows, dims)
 
 
 def residual(A, b, u):

@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from helmtrefftz.dg_assembly import FormParameters, assemble_rhs, assemble_sipdg
+from helmtrefftz.dg_assembly import (
+    FormParameters,
+    assemble_rhs,
+    assemble_sipdg,
+    omega_values,
+)
 from helmtrefftz.mesh import (
     build_unit_square_mesh,
     mesh_from_triangulation,
     refine,
 )
-from helmtrefftz.polyspace import dim_poly
+from helmtrefftz.polyspace import dim_poly, map_rule_to_triangle, quadrature_rule
 
 
 from helpers import polynomial_problem, project, residual, zero_f, zero_g
@@ -31,6 +36,29 @@ def test_form_parameters_validation():
     for alpha in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="alpha"):
             FormParameters(omega=1.0, p=2, alpha=alpha)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -2.0])
+def test_callable_omega_rejected_at_one_quadrature_node(bad):
+    # omega(x) is fine everywhere but at one node of element 5
+    mesh = build_unit_square_mesh(2)
+    pts, _ = map_rule_to_triangle(quadrature_rule(6), mesh.tri_coords)
+    node = pts[5, 3]
+
+    def omega(x):
+        return np.where(np.all(x == node, axis=-1), bad, 3.0 + x[..., 0])
+
+    with pytest.raises(ValueError) as info:
+        omega_values(omega, pts)
+    message = str(info.value)
+    assert "index 5 along the first axis" in message
+    assert f"({node[0]:.6g}, {node[1]:.6g})" in message
+    assert str(bad) in message
+    # the assembly evaluates omega at the same nodes (order 2p+2 = 6)
+    with pytest.raises(ValueError, match="index 5 along the first axis"):
+        assemble_sipdg(mesh, FormParameters(omega=omega, p=2))
+    # a constant wavenumber is only broadcast
+    assert np.array_equal(omega_values(3.0, pts), np.full(pts.shape[:-1], 3.0))
 
 
 def test_single_element_piecewise_constant():

@@ -16,6 +16,9 @@ from helmtrefftz.mesh import build_unit_disk_mesh, build_unit_square_mesh, refin
 from helmtrefftz.polyspace import _element_mass_grams, dim_poly
 from helmtrefftz.solve_pipeline import (
     SingularSystemError,
+    _basis_apply,
+    _basis_transpose_apply,
+    _block_congruence,
     _direct_solve,
     _element_block_ordering,
     build_global_embedding,
@@ -28,6 +31,8 @@ from helmtrefftz.solve_pipeline import (
     trefftz_dof_count,
 )
 from helpers import (
+    block_diag_matrix,
+    embedding_matrix,
     polynomial_problem,
     project,
     residual,
@@ -41,8 +46,9 @@ def test_embedding_shape_and_orthogonality():
     mesh = build_unit_square_mesh(2)  # 8 elements
     local = all_local_trefftz(mesh, 3, 1.0)
     emb = build_global_embedding(local)
-    assert emb.matrix.shape == (10 * 8, 7 * 8)
-    gram = (emb.matrix.T @ emb.matrix).toarray()
+    E = embedding_matrix(emb)
+    assert E.shape == (10 * 8, 7 * 8)
+    gram = (E.T @ E).toarray()
     assert np.linalg.norm(gram - np.eye(emb.n_columns)) <= 1e-12
 
 
@@ -53,7 +59,7 @@ def test_embedding_block_structure():
     k = 3
     unit = np.zeros(emb.n_columns)
     unit[emb.column_offsets[k]] = 1.0
-    lifted = emb.matrix @ unit
+    lifted = embedding_matrix(emb) @ unit
     n = dim_poly(2)
     assert np.allclose(lifted[k * n : (k + 1) * n], local.kernels[k, :, 0])
     mask = np.ones(len(lifted), dtype=bool)
@@ -108,7 +114,7 @@ def test_gauge_freedom_of_particular_solution():
     base = solve_reduced_system(A, b, emb, u_f)
     rng = np.random.default_rng(17)
     for _ in range(3):
-        shift = emb.matrix @ (
+        shift = embedding_matrix(emb) @ (
             rng.standard_normal(emb.n_columns)
             + 1j * rng.standard_normal(emb.n_columns)
         )
@@ -143,9 +149,71 @@ def test_embedding_preconditioner_orthonormalizes(zeroed, monkeypatch):
         warnings.simplefilter("ignore", KernelDimensionWarning)
         emb = build_global_embedding(all_local_trefftz(mesh, p, 2.0))
     grams = _element_mass_grams(mesh, p)
-    T = emb.matrix @ embedding_preconditioner(emb, grams)
+    dims = np.diff(emb.column_offsets)
+    Q = block_diag_matrix(embedding_preconditioner(emb, grams), dims, dims)
+    T = embedding_matrix(emb) @ Q
     gram = (T.T @ sp.block_diag(list(grams)) @ T).toarray()
     assert np.abs(gram - np.eye(emb.n_columns)).max() <= 1e-10
+
+
+def _assert_bitwise_sparse_products(A, bases, sizes, sparse_bases):
+    """The block congruence and basis maps against the sparse products.
+
+    The reference is what the solver computed before: T^T (A T) per basis
+    with CSR matrices, converted to the CSC that SuperLU reads.
+    """
+    reference = A
+    for T in sparse_bases:
+        reference = T.T @ (reference @ T)
+    reference = sp.csc_matrix(reference, dtype=complex)
+    reference.sort_indices()
+    M = _block_congruence(A, bases, sizes)
+    assert M.has_sorted_indices
+    assert np.array_equal(M.indptr, reference.indptr)
+    assert np.array_equal(M.indices, reference.indices)
+    assert np.array_equal(M.data, reference.data)
+
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    y = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
+    b_ref, x_ref = b, y
+    for T in sparse_bases:
+        b_ref = T.T @ b_ref
+    for T in reversed(sparse_bases):
+        x_ref = T @ x_ref
+    assert np.array_equal(_basis_transpose_apply(bases, b, sizes), b_ref)
+    assert np.array_equal(_basis_apply(bases, y, sizes), x_ref)
+
+
+@pytest.mark.parametrize(
+    "mesh,p,omega",
+    [(build_unit_disk_mesh(3), 3, 20.0), (build_unit_square_mesh(4), 12, 1.0)],
+    ids=["disk-p3", "square-p12"],
+)
+def test_block_congruence_bitwise_standard(mesh, p, omega):
+    # P^T A P of the standard solve, P the mass whiteners
+    A = assemble_sipdg(mesh, FormParameters(omega=omega, p=p))
+    blocks = mass_preconditioner(_element_mass_grams(mesh, p))
+    sizes = np.full(mesh.n_elements, dim_poly(p))
+    P = block_diag_matrix(blocks, sizes, sizes)
+    _assert_bitwise_sparse_products(A, [blocks], sizes, [P])
+
+
+@pytest.mark.parametrize("p", [4, 8])
+def test_block_congruence_bitwise_embedded(p, monkeypatch):
+    # Q^T (E^T A E) Q of the embedded solve, with a ragged kernel dimension
+    # on element 3 (zero constraint)
+    mesh = build_unit_square_mesh(2)
+    zero_constraints(monkeypatch, elements=[3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KernelDimensionWarning)
+        emb = build_global_embedding(all_local_trefftz(mesh, p, 2.0))
+    dims = np.diff(emb.column_offsets)
+    assert len(set(dims)) == 2
+    A = assemble_sipdg(mesh, FormParameters(omega=2.0, p=p))
+    Q = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
+    sparse = [embedding_matrix(emb), block_diag_matrix(Q, dims, dims)]
+    _assert_bitwise_sparse_products(A, [emb.blocks, Q], dims, sparse)
 
 
 def test_two_step_equivalence():
@@ -163,7 +231,7 @@ def test_two_step_equivalence():
     emb = build_global_embedding(local)
     A = assemble_sipdg(mesh, params)
     b = assemble_rhs(mesh, params, f_cb, g_cb)
-    galerkin = emb.matrix.T @ (A @ field.coefficients - b)
+    galerkin = embedding_matrix(emb).T @ (A @ field.coefficients - b)
     assert np.linalg.norm(galerkin) <= 1e-9 * (1.0 + np.linalg.norm(b))
 
 
@@ -172,7 +240,8 @@ def test_reduced_matrix_complex_symmetric():
     p = 3
     A = assemble_sipdg(mesh, FormParameters(omega=10.0, p=p))
     emb = build_global_embedding(all_local_trefftz(mesh, p, 10.0))
-    reduced = emb.matrix.T @ (A @ emb.matrix)
+    E = embedding_matrix(emb)
+    reduced = E.T @ (A @ E)
     assert spla.norm(reduced - reduced.T) <= 1e-12 * spla.norm(reduced)
 
 
@@ -245,7 +314,7 @@ def test_dissection_ordering_matches_colamd(method, splu_calls):
     A = assemble_sipdg(mesh, params)
     b = assemble_rhs(mesh, params, case.f, case.g)
     if method == "standard":
-        precond = mass_preconditioner(mesh, p)
+        precond = mass_preconditioner(_element_mass_grams(mesh, p))
         ordered = _direct_solve(
             A, b, "test", precond=precond, ordering=_element_block_ordering(mesh, p)
         )
