@@ -23,23 +23,16 @@ from .exact_solutions import (
 from .harness import RunConfig, emit_csv, parse_csv, run_experiment, summarize
 from .local_trefftz import KernelDimensionWarning, LocalTrefftzData, all_local_trefftz
 from .mesh import (
-    BoundaryFace,
-    ElementGeometry,
-    InteriorFace,
     Mesh,
     build_unit_disk_mesh,
     build_unit_square_mesh,
-    element_geometry,
     mesh_from_triangulation,
-    refine,
 )
 from .polyspace import (
-    BubbleBasis,
     QuadratureRule,
     bubble_basis,
     dim_poly,
     edge_quadrature_rule,
-    eval_basis,
     quadrature_rule,
 )
 from .solve_pipeline import (

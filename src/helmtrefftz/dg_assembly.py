@@ -68,34 +68,59 @@ class FormParameters:
             )
 
 
+def _reject_at_points(
+    bad: np.ndarray, values: np.ndarray, points: np.ndarray, what: str, axis: str
+) -> None:
+    """Raise a ValueError at the first point where bad holds.
+
+    The message gives the offending value, the point and the point's index
+    along the first axis of points, which is the element or the face in the
+    stacked quadrature arrays of the assembly and error routines.
+    """
+    if not bad.any():
+        return
+    bad = np.broadcast_to(bad, points.shape[:-1])
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    x, y = points[at]
+    where = f", index {at[0]} along the first axis ({axis})" if at else ""
+    raise ValueError(
+        f"{what}, got {np.broadcast_to(values, bad.shape)[at]} "
+        f"at point ({x:.6g}, {y:.6g}){where}"
+    )
+
+
 def omega_values(omega: float | Callable, points: np.ndarray) -> np.ndarray:
     """Evaluate a constant or spatially varying wavenumber at points (..., 2).
 
-    The values of a callable must be finite and positive.  Otherwise a
-    ValueError names the first offending point and its index along the
-    first axis of points, which is the element or the face in the stacked
-    quadrature arrays of the assembly and error routines.
+    The values of a callable must be finite and positive; otherwise a
+    ValueError names the first offending point and its element or face.
     """
     if not callable(omega):
         return np.broadcast_to(float(omega), np.asarray(points).shape[:-1])
     points = np.asarray(points)
     values = np.asarray(omega(points))
-    bad = ~(np.isfinite(values) & (values > 0.0))
-    if bad.any():
-        bad = np.broadcast_to(bad, points.shape[:-1])
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        x, y = points[at]
-        where = f", index {at[0]} along the first axis (element or face)" if at else ""
-        raise ValueError(
-            f"wavenumber omega(x) must be finite and positive, got "
-            f"{np.broadcast_to(values, bad.shape)[at]} at point ({x:.6g}, {y:.6g}){where}"
-        )
+    _reject_at_points(
+        ~(np.isfinite(values) & (values > 0.0)),
+        values,
+        points,
+        "wavenumber omega(x) must be finite and positive",
+        "element or face",
+    )
+    return values
+
+
+def _source_values(f: Callable, points: np.ndarray) -> np.ndarray:
+    """Values of the source f at stacked element points; must be finite."""
+    values = np.asarray(f(points))
+    _reject_at_points(
+        ~np.isfinite(values), values, points, "source f(x) must be finite", "element"
+    )
     return values
 
 
 def interior_face_h(mesh: Mesh) -> np.ndarray:
     """Face-local mesh size (h_K+ + h_K-)/2 for every interior face."""
-    fa = mesh.iface_arrays
+    fa = mesh.interior_faces
     return 0.5 * (mesh.diameters[fa["plus"]] + mesh.diameters[fa["minus"]])
 
 
@@ -135,45 +160,43 @@ def assemble_sipdg(mesh: Mesh, params: FormParameters) -> sp.csr_matrix:
 
     edge_rule = edge_quadrature_rule(order)
 
-    if mesh.interior_faces:
-        fa = mesh.iface_arrays
-        pts_f = _edge_points(fa["v0"], fa["v1"], edge_rule.nodes)
-        wf = edge_rule.weights[None, :] * fa["length"][:, None]
-        sides = {}
-        for tag, el in (("+", fa["plus"]), ("-", fa["minus"])):
-            evf = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_f)
-            dn = np.einsum("fmnd,fd->fmn", evf.gradients, fa["normal"])
-            sides[tag] = (evf.values, dn)
-        sigma = params.alpha * p**2 / interior_face_h(mesh)
-        sign = {"+": 1.0, "-": -1.0}
-        for sv in "+-":
-            vals_v, dn_v = sides[sv]
-            for su in "+-":
-                vals_u, dn_u = sides[su]
-                blk = -0.5 * sign[sv] * np.einsum("fmi,fmj,fm->fij", vals_v, dn_u, wf)
-                blk += -0.5 * sign[su] * np.einsum("fmi,fmj,fm->fij", dn_v, vals_u, wf)
-                pen = np.einsum("fmi,fmj,fm->fij", vals_v, vals_u, wf)
-                blk += (sign[su] * sign[sv] * sigma)[:, None, None] * pen
-                _scatter_blocks(
-                    blk.astype(complex),
-                    fa["plus"] if sv == "+" else fa["minus"],
-                    fa["plus"] if su == "+" else fa["minus"],
-                    n,
-                    rows,
-                    cols,
-                    data,
-                )
+    fa = mesh.interior_faces
+    pts_f = _edge_points(fa["v0"], fa["v1"], edge_rule.nodes)
+    wf = edge_rule.weights[None, :] * fa["length"][:, None]
+    sides = {}
+    for tag, el in (("+", fa["plus"]), ("-", fa["minus"])):
+        evf = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_f)
+        dn = np.einsum("fmnd,fd->fmn", evf.gradients, fa["normal"])
+        sides[tag] = (evf.values, dn)
+    sigma = params.alpha * p**2 / interior_face_h(mesh)
+    sign = {"+": 1.0, "-": -1.0}
+    for sv in "+-":
+        vals_v, dn_v = sides[sv]
+        for su in "+-":
+            vals_u, dn_u = sides[su]
+            blk = -0.5 * sign[sv] * np.einsum("fmi,fmj,fm->fij", vals_v, dn_u, wf)
+            blk += -0.5 * sign[su] * np.einsum("fmi,fmj,fm->fij", dn_v, vals_u, wf)
+            pen = np.einsum("fmi,fmj,fm->fij", vals_v, vals_u, wf)
+            blk += (sign[su] * sign[sv] * sigma)[:, None, None] * pen
+            _scatter_blocks(
+                blk.astype(complex),
+                fa["plus"] if sv == "+" else fa["minus"],
+                fa["plus"] if su == "+" else fa["minus"],
+                n,
+                rows,
+                cols,
+                data,
+            )
 
     # boundary: impedance term i (omega u, v)
-    if mesh.boundary_faces:
-        fb = mesh.bface_arrays
-        pts_b = _edge_points(fb["v0"], fb["v1"], edge_rule.nodes)
-        wb = edge_rule.weights[None, :] * fb["length"][:, None]
-        el = fb["element"]
-        evb = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_b)
-        om = omega_values(params.omega, pts_b)
-        blk = 1j * np.einsum("fmi,fmj,fm->fij", evb.values, evb.values, wb * om)
-        _scatter_blocks(blk, el, el, n, rows, cols, data)
+    fb = mesh.boundary_faces
+    pts_b = _edge_points(fb["v0"], fb["v1"], edge_rule.nodes)
+    wb = edge_rule.weights[None, :] * fb["length"][:, None]
+    el = fb["element"]
+    evb = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_b)
+    om = omega_values(params.omega, pts_b)
+    blk = 1j * np.einsum("fmi,fmj,fm->fij", evb.values, evb.values, wb * om)
+    _scatter_blocks(blk, el, el, n, rows, cols, data)
 
     A = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
@@ -188,7 +211,8 @@ def assemble_rhs(
     """Assemble b[i] = (f, phi_i)_T + (g, phi_i)_dOmega with elevated quadrature.
 
     f maps points (..., 2) to complex values; g maps (points, unit normals)
-    to complex values.
+    to complex values.  A non-finite value of f or g raises a ValueError
+    naming the element or boundary face.
     """
     p = params.p
     n = dim_poly(p)
@@ -197,19 +221,25 @@ def assemble_rhs(
 
     pts, w = map_rule_to_triangle(quadrature_rule(order), mesh.tri_coords)
     vals = _monomial_tables(mesh.incenters, mesh.diameters, p, pts).values
-    fv = np.asarray(f(pts), dtype=complex)
+    fv = _source_values(f, pts).astype(complex)
     b += np.einsum("eqi,eq->ei", vals, fv * w)
 
-    if mesh.boundary_faces:
-        edge_rule = edge_quadrature_rule(order)
-        fb = mesh.bface_arrays
-        pts_b = _edge_points(fb["v0"], fb["v1"], edge_rule.nodes)
-        wb = edge_rule.weights[None, :] * fb["length"][:, None]
-        el = fb["element"]
-        vals_b = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_b).values
-        normals = np.broadcast_to(fb["normal"][:, None, :], pts_b.shape)
-        gv = np.asarray(g(pts_b, normals), dtype=complex)
-        contrib = np.einsum("fmi,fm->fi", vals_b, gv * wb)
-        np.add.at(b, el, contrib)
+    edge_rule = edge_quadrature_rule(order)
+    fb = mesh.boundary_faces
+    pts_b = _edge_points(fb["v0"], fb["v1"], edge_rule.nodes)
+    wb = edge_rule.weights[None, :] * fb["length"][:, None]
+    el = fb["element"]
+    vals_b = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_b).values
+    normals = np.broadcast_to(fb["normal"][:, None, :], pts_b.shape)
+    gv = np.asarray(g(pts_b, normals), dtype=complex)
+    _reject_at_points(
+        ~np.isfinite(gv),
+        gv,
+        pts_b,
+        "boundary data g(x, n) must be finite",
+        "boundary face",
+    )
+    contrib = np.einsum("fmi,fm->fi", vals_b, gv * wb)
+    np.add.at(b, el, contrib)
 
     return b.ravel()

@@ -12,7 +12,9 @@ so jump terms involve the discrete field only.
 
 The three constant estimators are dense generalized eigenvalue
 diagnostics on single elements or small meshes; they are not meant for
-production-size inputs.
+production-size inputs.  They take their element Grams from the batched
+builders of polyspace, on a one-element index array or on all elements,
+and scatter the face blocks of the broken norms as the assembly does.
 """
 
 from __future__ import annotations
@@ -22,19 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dg_assembly import _edge_points, interior_face_h, omega_values
+from .dg_assembly import _edge_points, _scatter_blocks, interior_face_h, omega_values
 from .exact_solutions import ManufacturedCase
 from .local_trefftz import constraint_matrices
-from .mesh import Mesh, element_geometry
+from .mesh import Mesh
 from .polyspace import (
     MAX_QUAD_ORDER,
+    _element_boundary_grams,
+    _element_mass_grams,
+    _element_stiffness_grams,
     _monomial_tables,
     bubble_basis,
     dim_poly,
     edge_quadrature_rule,
-    element_boundary_gram,
-    element_mass_gram,
-    element_stiffness_gram,
     map_rule_to_triangle,
     quadrature_rule,
 )
@@ -127,26 +129,24 @@ def dg_error(
     total += np.einsum("eq,eq->", om2 * np.abs(diff) ** 2, w)
 
     edge_rule = edge_quadrature_rule(order)
-    if mesh.interior_faces:
-        fa = mesh.iface_arrays
-        pts_f = _edge_points(fa["v0"], fa["v1"], edge_rule.nodes)
-        wf = edge_rule.weights[None, :] * fa["length"][:, None]
-        jump = np.zeros(pts_f.shape[:2], dtype=complex)
-        for sign, el in ((1.0, fa["plus"]), (-1.0, fa["minus"])):
-            vals = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_f).values
-            jump += sign * np.einsum("fmi,fi->fm", vals, coeffs[el])
-        weight = p**2 / interior_face_h(mesh)
-        total += np.einsum("f,fm,fm->", weight, np.abs(jump) ** 2, wf)
+    fa = mesh.interior_faces
+    pts_f = _edge_points(fa["v0"], fa["v1"], edge_rule.nodes)
+    wf = edge_rule.weights[None, :] * fa["length"][:, None]
+    jump = np.zeros(pts_f.shape[:2], dtype=complex)
+    for sign, el in ((1.0, fa["plus"]), (-1.0, fa["minus"])):
+        vals = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_f).values
+        jump += sign * np.einsum("fmi,fi->fm", vals, coeffs[el])
+    weight = p**2 / interior_face_h(mesh)
+    total += np.einsum("f,fm,fm->", weight, np.abs(jump) ** 2, wf)
 
-    if mesh.boundary_faces:
-        fb = mesh.bface_arrays
-        pts_b = _edge_points(fb["v0"], fb["v1"], edge_rule.nodes)
-        wb = edge_rule.weights[None, :] * fb["length"][:, None]
-        el = fb["element"]
-        vals = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_b).values
-        diff_b = np.einsum("fmi,fi->fm", vals, coeffs[el]) - case.u(pts_b)
-        om_b = omega_values(case.omega, pts_b)
-        total += np.einsum("fm,fm->", om_b * np.abs(diff_b) ** 2, wb)
+    fb = mesh.boundary_faces
+    pts_b = _edge_points(fb["v0"], fb["v1"], edge_rule.nodes)
+    wb = edge_rule.weights[None, :] * fb["length"][:, None]
+    el = fb["element"]
+    vals = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_b).values
+    diff_b = np.einsum("fmi,fi->fm", vals, coeffs[el]) - case.u(pts_b)
+    om_b = omega_values(case.omega, pts_b)
+    total += np.einsum("fm,fm->", om_b * np.abs(diff_b) ** 2, wb)
 
     return float(np.sqrt(total))
 
@@ -181,13 +181,20 @@ def dofs_per_wavelength(
 # ---------------------------------------------------------------------------
 
 
+def _one_element(mesh: Mesh, element: int) -> np.ndarray:
+    """Index array of one element, for the batched Gram builders."""
+    if not 0 <= element < mesh.n_elements:
+        raise IndexError(f"element {element} out of range")
+    return np.array([element])
+
+
 def _local_dg_gram(mesh: Mesh, element: int, p: int, omega: float) -> np.ndarray:
     """Gram of ||grad .||_K^2 + omega^2 ||.||_K^2 + (p^2/h_K) ||.||_dK^2."""
-    geom = element_geometry(mesh, element)
-    tri = mesh.tri_coords[element]
-    gram = element_stiffness_gram(geom, tri, p)
-    gram += omega**2 * element_mass_gram(geom, tri, p)
-    gram += (p**2 / geom.diameter) * element_boundary_gram(geom, tri, p)
+    one = _one_element(mesh, element)
+    traces, _ = _element_boundary_grams(mesh, p, one)
+    gram = _element_stiffness_grams(mesh, p, one)[0]
+    gram += omega**2 * _element_mass_grams(mesh, p, one)[0]
+    gram += (p**2 / mesh.diameters[element]) * traces[0]
     return gram
 
 
@@ -203,15 +210,15 @@ def estimate_local_coercivity(
         raise ValueError("bubble space is empty for p < 2")
     if callable(omega):
         raise TypeError("coercivity diagnostic needs a constant wavenumber")
-    geom = element_geometry(mesh, element)
-    tri = mesh.tri_coords[element]
-    W = constraint_matrices(mesh, p, float(omega), elements=np.array([element]))[0]
-    C_b = bubble_basis(geom, p).coefficients
+    one = _one_element(mesh, element)
+    W = constraint_matrices(mesh, p, float(omega), elements=one)[0]
+    C_b = bubble_basis(mesh, p, one)[0]
     W_b = W @ C_b
 
-    h = geom.diameter
-    q_gram = h**2 * element_stiffness_gram(geom, tri, p - 2)
-    q_gram += p**2 * h * element_boundary_gram(geom, tri, p - 2)
+    h = float(mesh.diameters[element])
+    traces, _ = _element_boundary_grams(mesh, p - 2, one)
+    q_gram = h**2 * _element_stiffness_grams(mesh, p - 2, one)[0]
+    q_gram += p**2 * h * traces[0]
     try:
         dual = W_b.T @ np.linalg.solve(q_gram, W_b)
     except np.linalg.LinAlgError as exc:
@@ -232,7 +239,7 @@ def estimate_local_coercivity(
         value=float(np.sqrt(max(lam[0], 0.0))),
         p=p,
         omega=float(omega),
-        h=geom.diameter,
+        h=h,
     )
 
 
@@ -240,53 +247,53 @@ def _broken_grams(mesh: Mesh, p: int, omega: float):
     """Dense Gram matrices of the DG norm and its sharpened variant."""
     n = dim_poly(p)
     total = mesh.n_elements * n
+    elements = np.arange(mesh.n_elements)
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    data: list[np.ndarray] = []
+    vol = _element_stiffness_grams(mesh, p) + omega**2 * _element_mass_grams(mesh, p)
+    _scatter_blocks(vol, elements, elements, n, rows, cols, data)
+
+    # jump terms: the four (plus/minus) x (plus/minus) blocks of every face
+    rule = edge_quadrature_rule(min(2 * p + 2, MAX_QUAD_ORDER))
+    fa = mesh.interior_faces
+    pts = _edge_points(fa["v0"], fa["v1"], rule.nodes)
+    wts = rule.weights[None, :] * fa["length"][:, None]
+    sides = np.stack([fa["plus"], fa["minus"]], axis=1)  # (F, 2)
+    traces = np.stack(
+        [
+            _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts).values
+            for el in sides.T
+        ],
+        axis=1,
+    )  # (F, 2, M, n)
+    sign = np.array([1.0, -1.0])
+    weight = (p**2 / interior_face_h(mesh))[:, None, None] * sign[:, None] * sign
+    blk = np.einsum("fsmi,ftmj,fm->fstij", traces, traces, wts)
+    blk *= weight[..., None, None]
+    _scatter_blocks(
+        blk.reshape(-1, n, n),
+        np.repeat(sides, 2, axis=1).ravel(),
+        np.tile(sides, 2).ravel(),
+        n,
+        rows,
+        cols,
+        data,
+    )
+
+    fb = mesh.boundary_faces
+    pts = _edge_points(fb["v0"], fb["v1"], rule.nodes)
+    wts = rule.weights[None, :] * fb["length"][:, None]
+    el = fb["element"]
+    tr = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts).values
+    blk = omega * np.einsum("fmi,fmj,fm->fij", tr, tr, wts)
+    _scatter_blocks(blk, el, el, n, rows, cols, data)
+
     g_dg = np.zeros((total, total))
-    g_extra = np.zeros((total, total))
-    for k in range(mesh.n_elements):
-        geom = element_geometry(mesh, k)
-        tri = mesh.tri_coords[k]
-        blk = element_stiffness_gram(geom, tri, p)
-        blk += omega**2 * element_mass_gram(geom, tri, p)
-        sl = slice(k * n, (k + 1) * n)
-        g_dg[sl, sl] += blk
-        g_extra[sl, sl] += (geom.diameter / p**2) * element_boundary_gram(
-            geom, tri, p, with_normal_derivative=True
-        )
-
-    order = min(2 * p + 2, MAX_QUAD_ORDER)
-    rule = edge_quadrature_rule(order)
-    h_f = interior_face_h(mesh)
-    for i, face in enumerate(mesh.interior_faces):
-        v0 = mesh.vertices[face.endpoints[0]]
-        v1 = mesh.vertices[face.endpoints[1]]
-        pts = v0[None, :] + rule.nodes[:, None] * (v1 - v0)[None, :]
-        wts = rule.weights * face.length
-        traces = []
-        for el in (face.plus_element, face.minus_element):
-            geom = element_geometry(mesh, el)
-            traces.append(_monomial_tables(np.array(geom.center), geom.diameter, p, pts).values)
-        weight = p**2 / h_f[i]
-        for sv, el_v in ((1.0, face.plus_element), (-1.0, face.minus_element)):
-            for su, el_u in ((1.0, face.plus_element), (-1.0, face.minus_element)):
-                tv = traces[0] if sv > 0 else traces[1]
-                tu = traces[0] if su > 0 else traces[1]
-                blk = weight * su * sv * np.einsum("qi,qj,q->ij", tv, tu, wts)
-                g_dg[
-                    el_v * n : (el_v + 1) * n, el_u * n : (el_u + 1) * n
-                ] += blk
-
-    for face in mesh.boundary_faces:
-        v0 = mesh.vertices[face.endpoints[0]]
-        v1 = mesh.vertices[face.endpoints[1]]
-        pts = v0[None, :] + rule.nodes[:, None] * (v1 - v0)[None, :]
-        wts = rule.weights * face.length
-        geom = element_geometry(mesh, face.element)
-        tr = _monomial_tables(np.array(geom.center), geom.diameter, p, pts).values
-        blk = omega * np.einsum("qi,qj,q->ij", tr, tr, wts)
-        sl = slice(face.element * n, (face.element + 1) * n)
-        g_dg[sl, sl] += blk
-
-    return g_dg, g_dg + g_extra
+    np.add.at(g_dg, (np.concatenate(rows), np.concatenate(cols)), np.concatenate(data))
+    _, normal_derivs = _element_boundary_grams(mesh, p)
+    extra = (mesh.diameters / p**2)[:, None, None] * normal_derivs
+    return g_dg, g_dg + scipy.linalg.block_diag(*extra)
 
 
 def estimate_norm_equivalence(
@@ -322,14 +329,15 @@ def estimate_inverse_trace(mesh: Mesh, element: int, p: int) -> ConstantEstimate
     """Largest value of ||u||_dK sqrt(h_K) / (p ||u||_K) over degree-p u."""
     if p < 1:
         raise ValueError("need p >= 1")
-    geom = element_geometry(mesh, element)
-    tri = mesh.tri_coords[element]
-    bdry = element_boundary_gram(geom, tri, p)
-    mass = element_mass_gram(geom, tri, p)
+    one = _one_element(mesh, element)
+    traces, _ = _element_boundary_grams(mesh, p, one)
+    bdry = traces[0]
+    mass = _element_mass_grams(mesh, p, one)[0]
     lam = scipy.linalg.eigh(
         0.5 * (bdry + bdry.T), 0.5 * (mass + mass.T), eigvals_only=True
     )
-    value = np.sqrt(lam[-1] * geom.diameter) / p
+    h = float(mesh.diameters[element])
+    value = np.sqrt(lam[-1] * h) / p
     return ConstantEstimate(
-        name="inverse_trace", value=float(value), p=p, omega=0.0, h=geom.diameter
+        name="inverse_trace", value=float(value), p=p, omega=0.0, h=h
     )

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dg_assembly import omega_values
+from .dg_assembly import _source_values, omega_values
 from .mesh import Mesh
 from .polyspace import (
     MAX_QUAD_ORDER,
@@ -216,11 +216,14 @@ def all_local_trefftz(
 
 
 def all_local_rhs(mesh: Mesh, p: int, f: Callable) -> np.ndarray:
-    """Moments h_K * <f, q_q>_K over the degree-(p-2) test basis, (E, m)."""
+    """Moments h_K * <f, q_q>_K over the degree-(p-2) test basis, (E, m).
+
+    A non-finite value of f raises a ValueError naming the element.
+    """
     order = min(2 * p + 6, MAX_QUAD_ORDER)
     pts, w = map_rule_to_triangle(quadrature_rule(order), mesh.tri_coords)
     test_vals = _monomial_tables(mesh.incenters, mesh.diameters, p - 2, pts).values
-    fv = np.asarray(f(pts))
+    fv = _source_values(f, pts)
     return mesh.diameters[:, None] * np.einsum("eqm,eq->em", test_vals, fv * w)
 
 

@@ -1,9 +1,14 @@
 """Structured simplicial meshes of the unit square and unit disk.
 
-Meshes are plain triangulations with explicit face topology.  Every
-interior face stores an ordered element pair (plus, minus) and a unit
-normal pointing from the plus element into the minus element, so that
-jump and average operators downstream have a fixed orientation.  Element
+A mesh is a triangulation with its face topology kept as flat arrays,
+one row per face, which the assembly and error routines read in stacked
+calls.  interior_faces holds the endpoint coordinates v0 and v1, the
+element pair plus < minus, the unit normal pointing from plus into
+minus and the length; boundary_faces holds v0, v1, the owning element,
+the outward unit normal and the length.  Interior faces are sorted by
+(plus, minus, endpoint labels) and boundary faces by (element, endpoint
+labels), with v0 the endpoint of lower label, so that jump and average
+operators downstream have a fixed orientation and order.  Element
 geometry uses the incenter and inradius: the inscribed ball is what the
 bubble space construction needs.
 """
@@ -18,51 +23,15 @@ import numpy as np
 
 __all__ = [
     "Mesh",
-    "InteriorFace",
-    "BoundaryFace",
-    "ElementGeometry",
     "mesh_from_triangulation",
     "build_unit_square_mesh",
     "build_unit_disk_mesh",
-    "element_geometry",
-    "refine",
 ]
 
 
 def cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """z-component of the cross product of planar vectors."""
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
-@dataclass(frozen=True)
-class InteriorFace:
-    """Face shared by two triangles; normal points from plus into minus."""
-
-    endpoints: tuple[int, int]
-    plus_element: int
-    minus_element: int
-    unit_normal: tuple[float, float]
-    length: float
-
-
-@dataclass(frozen=True)
-class BoundaryFace:
-    """Face on the domain boundary; normal points out of the domain."""
-
-    endpoints: tuple[int, int]
-    element: int
-    unit_normal: tuple[float, float]
-    length: float
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Per-triangle geometry: diameter, incenter, inradius, area."""
-
-    diameter: float
-    center: tuple[float, float]
-    inradius: float
-    area: float
 
 
 @dataclass(eq=False)
@@ -74,7 +43,10 @@ class Mesh:
     vertices : np.ndarray, shape (Nv, 2)
     triangles : np.ndarray, shape (Nt, 3)
         Vertex indices, counterclockwise.
-    interior_faces, boundary_faces : lists of face records.
+    interior_faces : dict of arrays
+        v0, v1 (F, 2); plus, minus (F,); normal (F, 2); length (F,).
+    boundary_faces : dict of arrays
+        v0, v1 (B, 2); element (B,); normal (B, 2); length (B,).
     domain_area : float
         Exact area of the continuous domain (1 for the unit square,
         pi for the unit disk); used for resolution measures.  The sum
@@ -83,8 +55,8 @@ class Mesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    interior_faces: list[InteriorFace] = field(repr=False)
-    boundary_faces: list[BoundaryFace] = field(repr=False)
+    interior_faces: dict[str, np.ndarray] = field(repr=False)
+    boundary_faces: dict[str, np.ndarray] = field(repr=False)
     domain_area: float
 
     @property
@@ -132,43 +104,6 @@ class Mesh:
     def centroids(self) -> np.ndarray:
         return self.tri_coords.mean(axis=1)
 
-    @cached_property
-    def iface_arrays(self) -> dict[str, np.ndarray]:
-        """Interior face data as flat arrays for vectorized assembly."""
-        f = self.interior_faces
-        if not f:
-            empty = np.zeros((0,))
-            return {
-                "v0": np.zeros((0, 2)),
-                "v1": np.zeros((0, 2)),
-                "plus": np.zeros(0, dtype=int),
-                "minus": np.zeros(0, dtype=int),
-                "normal": np.zeros((0, 2)),
-                "length": empty,
-            }
-        ep = np.array([fc.endpoints for fc in f], dtype=int)
-        return {
-            "v0": self.vertices[ep[:, 0]],
-            "v1": self.vertices[ep[:, 1]],
-            "plus": np.array([fc.plus_element for fc in f], dtype=int),
-            "minus": np.array([fc.minus_element for fc in f], dtype=int),
-            "normal": np.array([fc.unit_normal for fc in f]),
-            "length": np.array([fc.length for fc in f]),
-        }
-
-    @cached_property
-    def bface_arrays(self) -> dict[str, np.ndarray]:
-        """Boundary face data as flat arrays for vectorized assembly."""
-        f = self.boundary_faces
-        ep = np.array([fc.endpoints for fc in f], dtype=int)
-        return {
-            "v0": self.vertices[ep[:, 0]],
-            "v1": self.vertices[ep[:, 1]],
-            "element": np.array([fc.element for fc in f], dtype=int),
-            "normal": np.array([fc.unit_normal for fc in f]),
-            "length": np.array([fc.length for fc in f]),
-        }
-
     @property
     def max_diameter(self) -> float:
         return float(self.diameters.max())
@@ -182,7 +117,7 @@ class Mesh:
         direct factorization local to the halves (George, SIAM J. Numer.
         Anal. 1973).
         """
-        fa = self.iface_arrays
+        fa = self.interior_faces
         return _nested_dissection(
             self.centroids, np.stack([fa["plus"], fa["minus"]], axis=1)
         )
@@ -233,53 +168,69 @@ def mesh_from_triangulation(
 ) -> Mesh:
     """Build a Mesh from raw arrays, deriving the face topology.
 
-    Raises ValueError on non-counterclockwise or degenerate triangles,
-    or if an edge is shared by more than two triangles.
+    Raises ValueError on non-finite vertex coordinates, on
+    non-counterclockwise or degenerate triangles, or if an edge is shared
+    by more than two triangles.
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=int)
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(
+            f"non-finite coordinates {vertices[bad].tolist()} at vertex {bad}"
+        )
     t = vertices[triangles]
     signed = 0.5 * cross2(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0])
     if np.any(signed <= 0.0):
         bad = np.nonzero(signed <= 0.0)[0]
         raise ValueError(f"non-positive signed area for triangles {bad.tolist()}")
 
+    # edges (t0,t1), (t1,t2), (t2,t0) of every triangle, labelled by their
+    # sorted vertex pair; a stable sort by label groups each edge with its
+    # owners in ascending element order, so plus < minus
+    ends = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    label = ends[:, 0] * len(vertices) + ends[:, 1]
+    by_label = np.argsort(label, kind="stable")
+    owner = np.repeat(np.arange(len(triangles)), 3)[by_label]
+    first = np.flatnonzero(np.diff(label[by_label], prepend=-1))
+    count = np.diff(first, append=len(label))
+    if np.any(count > 2):
+        j = int(np.argmax(count > 2))
+        va, vb = ends[by_label[first[j]]]
+        raise ValueError(f"edge ({va},{vb}) shared by {count[j]} triangles")
+    ends = ends[by_label[first]]
+    plus, minus = owner[first], owner[first + count - 1]
+
+    v0, v1 = vertices[ends[:, 0]], vertices[ends[:, 1]]
+    tang = v1 - v0
+    length = np.hypot(tang[:, 0], tang[:, 1])
+    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / length[:, None]
+    # orient from plus into minus, or out of the domain on the boundary
     centroids = t.mean(axis=1)
-    edge_owners: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for k, tri in enumerate(triangles):
-        for va, vb in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(va, vb), max(va, vb))
-            edge_owners.setdefault(key, []).append((k, int(va), int(vb)))
+    inner = count == 2
+    away = np.where(
+        inner[:, None],
+        centroids[minus] - centroids[plus],
+        0.5 * (v0 + v1) - centroids[plus],
+    )
+    normal[np.einsum("fd,fd->f", normal, away) < 0.0] *= -1.0
 
-    interior: list[InteriorFace] = []
-    boundary: list[BoundaryFace] = []
-    for (va, vb), owners in edge_owners.items():
-        p0, p1 = vertices[va], vertices[vb]
-        tang = p1 - p0
-        length = float(np.hypot(*tang))
-        if length == 0.0:
-            raise ValueError(f"degenerate edge between vertices {va} and {vb}")
-        normal = np.array([tang[1], -tang[0]]) / length
-        if len(owners) == 2:
-            plus, minus = sorted(o[0] for o in owners)
-            if normal @ (centroids[minus] - centroids[plus]) < 0.0:
-                normal = -normal
-            interior.append(
-                InteriorFace((va, vb), plus, minus, (normal[0], normal[1]), length)
-            )
-        elif len(owners) == 1:
-            elem = owners[0][0]
-            mid = 0.5 * (p0 + p1)
-            if normal @ (mid - centroids[elem]) < 0.0:
-                normal = -normal
-            boundary.append(
-                BoundaryFace((va, vb), elem, (normal[0], normal[1]), length)
-            )
-        else:
-            raise ValueError(f"edge ({va},{vb}) shared by {len(owners)} triangles")
+    def rows(keep, *keys):
+        """Rows where keep holds, sorted by keys (first key first)."""
+        idx = np.flatnonzero(keep)
+        return idx[np.lexsort([key[idx] for key in reversed(keys)])]
 
-    interior.sort(key=lambda fc: (fc.plus_element, fc.minus_element, fc.endpoints))
-    boundary.sort(key=lambda fc: (fc.element, fc.endpoints))
+    i = rows(inner, plus, minus, ends[:, 0], ends[:, 1])
+    b = rows(~inner, plus, ends[:, 0], ends[:, 1])
+    interior = {
+        "v0": v0[i], "v1": v1[i], "plus": plus[i], "minus": minus[i],
+        "normal": normal[i], "length": length[i],
+    }
+    boundary = {
+        "v0": v0[b], "v1": v1[b], "element": plus[b],
+        "normal": normal[b], "length": length[b],
+    }
     if domain_area is None:
         domain_area = float(signed.sum())
     return Mesh(vertices, triangles, interior, boundary, float(domain_area))
@@ -341,42 +292,4 @@ def build_unit_disk_mesh(rings: int) -> Mesh:
                 tris.append((outer[t + 1], inner[t + 1], inner[t]))
     return mesh_from_triangulation(
         np.array(verts), np.array(tris, dtype=int), domain_area=math.pi
-    )
-
-
-def element_geometry(mesh: Mesh, element: int) -> ElementGeometry:
-    """Geometry record (diameter, incenter, inradius, area) of one triangle."""
-    if not 0 <= element < mesh.n_elements:
-        raise IndexError(f"element {element} out of range")
-    area = float(mesh.areas[element])
-    if area <= 0.0:
-        raise ValueError(f"degenerate triangle {element}")
-    cx, cy = mesh.incenters[element]
-    return ElementGeometry(
-        diameter=float(mesh.diameters[element]),
-        center=(float(cx), float(cy)),
-        inradius=float(mesh.inradii[element]),
-        area=area,
-    )
-
-
-def refine(mesh: Mesh) -> Mesh:
-    """Uniform refinement: split every triangle into 4 congruent children."""
-    vertices = [tuple(v) for v in mesh.vertices]
-    midpoint: dict[tuple[int, int], int] = {}
-
-    def mid(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        if key not in midpoint:
-            midpoint[key] = len(vertices)
-            va, vb = mesh.vertices[a], mesh.vertices[b]
-            vertices.append(((va[0] + vb[0]) / 2.0, (va[1] + vb[1]) / 2.0))
-        return midpoint[key]
-
-    tris = []
-    for a, b, c in mesh.triangles:
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-    return mesh_from_triangulation(
-        np.array(vertices), np.array(tris, dtype=int), domain_area=mesh.domain_area
     )

@@ -17,6 +17,10 @@ would be cheaper but rounds differently, which moves errors at the
 round-off floor (sinsin p=12).  Derivative tables are built only when
 read.
 
+Element Gram matrices (mass, gradient, boundary traces and their normal
+derivatives) and bubble spaces are built for a batch of elements in one
+stacked call; an index array selects the batch, all elements by default.
+
 Triangle quadrature uses a collapsed Gauss-Legendre x Gauss-Jacobi
 product rule on the reference triangle: positive weights, exact for any
 requested total degree in the supported range.
@@ -31,24 +35,19 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from .mesh import ElementGeometry, Mesh, cross2
+from .mesh import Mesh, cross2
 
 __all__ = [
     "MAX_QUAD_ORDER",
     "dim_poly",
     "monomial_exponents",
     "BasisEval",
-    "eval_basis",
     "QuadratureRule",
     "quadrature_rule",
     "map_rule_to_triangle",
     "EdgeQuadratureRule",
     "edge_quadrature_rule",
-    "BubbleBasis",
     "bubble_basis",
-    "element_mass_gram",
-    "element_stiffness_gram",
-    "element_boundary_gram",
 ]
 
 MAX_QUAD_ORDER = 30
@@ -132,16 +131,6 @@ def _monomial_tables(
     return BasisEval(X**k, Y**k, p, inv_h)
 
 
-def eval_basis(geom: ElementGeometry, p: int, points: np.ndarray) -> BasisEval:
-    """Evaluate the degree-p basis of one element at points (..., 2)."""
-    if p < 0:
-        raise ValueError("degree must be nonnegative")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _monomial_tables(
-        np.asarray(geom.center), np.asarray(geom.diameter), p, pts
-    )
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Triangle rule in barycentric coordinates; weights sum to 1/2."""
@@ -211,100 +200,78 @@ def edge_quadrature_rule(order: int) -> EdgeQuadratureRule:
     return EdgeQuadratureRule(nodes, weights, order)
 
 
-@dataclass(frozen=True)
-class BubbleBasis:
-    """Basis of (|x - c|^2 - r^2) * P^{p-2}(K), expanded in the P^p basis.
+def _exponent_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Position of the monomial with exponents (a, b) in graded lex order."""
+    d = a + b
+    return d * (d + 1) // 2 + b
 
-    coefficients : (dim_poly(p), size) exact expansion of each member in
-    the element's scaled monomial basis; empty for p < 2.
+
+def bubble_basis(mesh: Mesh, p: int, elements: np.ndarray | None = None) -> np.ndarray:
+    """Bubble spaces (|x - c|^2 - r^2) * P^{p-2}(K) of the given elements.
+
+    Returns (E, dim_poly(p), dim_poly(p-2)): the exact expansion of each
+    member in its element's scaled monomial basis, with c and r the
+    incenter and inradius; no columns for p < 2.  elements defaults to
+    all elements.
     """
-
-    degree: int
-    coefficients: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.coefficients.shape[1]
-
-
-def bubble_basis(geom: ElementGeometry, p: int) -> BubbleBasis:
-    """Bubble space of one element; empty for p < 2."""
-    n_p = dim_poly(p)
-    if p < 2:
-        return BubbleBasis(p, np.zeros((n_p, 0)))
-    exps = monomial_exponents(p)
-    index = {(int(a), int(b)): i for i, (a, b) in enumerate(exps)}
-    h = geom.diameter
-    rho2 = (geom.inradius / h) ** 2
-    low = monomial_exponents(p - 2)
-    coeffs = np.zeros((n_p, len(low)))
+    sel = slice(None) if elements is None else elements
+    h = mesh.diameters[sel]
+    rho2 = (mesh.inradii[sel] / h) ** 2
+    coeffs = np.zeros((len(h), dim_poly(p), dim_poly(p - 2)))
+    a, b = monomial_exponents(p - 2).T
+    j = np.arange(len(a))
     # (|x-c|^2 - r^2) * m_ab = h^2 (m_{a+2,b} + m_{a,b+2} - rho^2 m_ab)
-    for j, (a, b) in enumerate(low):
-        coeffs[index[(a + 2, b)], j] += h**2
-        coeffs[index[(a, b + 2)], j] += h**2
-        coeffs[index[(a, b)], j] -= h**2 * rho2
-    return BubbleBasis(p, coeffs)
+    coeffs[:, _exponent_index(a + 2, b), j] = h[:, None] ** 2
+    coeffs[:, _exponent_index(a, b + 2), j] = h[:, None] ** 2
+    coeffs[:, _exponent_index(a, b), j] = -(h**2 * rho2)[:, None]
+    return coeffs
 
 
-def _triangle_points_weights(geom_coords: np.ndarray, order: int):
-    rule = quadrature_rule(order)
-    return map_rule_to_triangle(rule, geom_coords)
+def _volume_tables(mesh: Mesh, p: int, elements) -> tuple[BasisEval, np.ndarray]:
+    """Degree-p tables and weights at the order-(2p+2) rule of the elements."""
+    sel = slice(None) if elements is None else elements
+    rule = quadrature_rule(min(2 * p + 2, MAX_QUAD_ORDER))
+    pts, w = map_rule_to_triangle(rule, mesh.tri_coords[sel])
+    return _monomial_tables(mesh.incenters[sel], mesh.diameters[sel], p, pts), w
 
 
-def element_mass_gram(
-    geom: ElementGeometry, tri_coords: np.ndarray, p: int, order: int | None = None
+def _element_mass_grams(
+    mesh: Mesh, p: int, elements: np.ndarray | None = None
 ) -> np.ndarray:
-    """L2 Gram matrix of the degree-p basis on one triangle."""
-    if order is None:
-        order = min(2 * p + 2, MAX_QUAD_ORDER)
-    pts, w = _triangle_points_weights(np.asarray(tri_coords), max(order, 1))
-    vals = eval_basis(geom, p, pts).values
-    return np.einsum("qi,qj,q->ij", vals, vals, w)
+    """L2 Gram matrices of the degree-p basis, (E, n, n); all elements by default."""
+    ev, w = _volume_tables(mesh, p, elements)
+    return np.einsum("eqi,eqj,eq->eij", ev.values, ev.values, w)
 
 
-def _element_mass_grams(mesh: Mesh, p: int) -> np.ndarray:
-    """L2 Gram matrices of the degree-p basis on every element, (E, n, n)."""
-    order = min(2 * p + 2, MAX_QUAD_ORDER)
-    pts, w = map_rule_to_triangle(quadrature_rule(max(order, 1)), mesh.tri_coords)
-    vals = _monomial_tables(mesh.incenters, mesh.diameters, p, pts).values
-    return np.einsum("eqi,eqj,eq->eij", vals, vals, w)
-
-
-def element_stiffness_gram(
-    geom: ElementGeometry, tri_coords: np.ndarray, p: int, order: int | None = None
+def _element_stiffness_grams(
+    mesh: Mesh, p: int, elements: np.ndarray | None = None
 ) -> np.ndarray:
-    """Gradient Gram matrix of the degree-p basis on one triangle."""
-    if order is None:
-        order = min(2 * p + 2, MAX_QUAD_ORDER)
-    pts, w = _triangle_points_weights(np.asarray(tri_coords), max(order, 1))
-    grads = eval_basis(geom, p, pts).gradients
-    return np.einsum("qid,qjd,q->ij", grads, grads, w)
+    """Gradient Gram matrices of the degree-p basis, (E, n, n)."""
+    ev, w = _volume_tables(mesh, p, elements)
+    return np.einsum("eqid,eqjd,eq->eij", ev.gradients, ev.gradients, w)
 
 
-def element_boundary_gram(
-    geom: ElementGeometry,
-    tri_coords: np.ndarray,
-    p: int,
-    order: int | None = None,
-    with_normal_derivative: bool = False,
-) -> np.ndarray:
-    """Gram matrix over the triangle boundary (values or normal derivatives)."""
-    if order is None:
-        order = min(2 * p + 2, MAX_QUAD_ORDER)
-    rule = edge_quadrature_rule(max(order, 1))
-    tri = np.asarray(tri_coords)
-    n_p = dim_poly(p)
-    gram = np.zeros((n_p, n_p))
-    for k in range(3):
-        v0, v1 = tri[k], tri[(k + 1) % 3]
-        tang = v1 - v0
-        length = float(np.hypot(*tang))
-        normal = np.array([tang[1], -tang[0]]) / length
-        pts = v0[None, :] + rule.nodes[:, None] * tang[None, :]
-        ev = eval_basis(geom, p, pts)
-        if with_normal_derivative:
-            tr = ev.gradients @ normal
-        else:
-            tr = ev.values
-        gram += np.einsum("qi,qj,q->ij", tr, tr, rule.weights * length)
-    return gram
+def _element_boundary_grams(
+    mesh: Mesh, p: int, elements: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices over each element boundary, (E, n, n) twice.
+
+    The first holds the traces of the degree-p basis, the second their
+    outward normal derivatives; each is the sum of its three edge terms.
+    """
+    sel = slice(None) if elements is None else elements
+    rule = edge_quadrature_rule(min(2 * p + 2, MAX_QUAD_ORDER))
+    tri = mesh.tri_coords[sel]  # edge k runs from vertex k to vertex k+1
+    tang = np.roll(tri, -1, axis=1) - tri
+    length = np.hypot(tang[..., 0], tang[..., 1])
+    normal = np.stack([tang[..., 1], -tang[..., 0]], axis=-1) / length[..., None]
+    pts = tri[..., None, :] + rule.nodes[:, None] * tang[..., None, :]  # (E, 3, M, 2)
+    ev = _monomial_tables(
+        mesh.incenters[sel][:, None], mesh.diameters[sel][:, None], p, pts
+    )
+    w = rule.weights * length[..., None]
+    dn = (ev.gradients @ normal[:, :, None, :, None])[..., 0]
+    return tuple(
+        np.einsum("ekmi,ekmj,ekm->ekij", tr, tr, w).sum(axis=1)
+        for tr in (ev.values, dn)
+    )

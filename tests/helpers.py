@@ -1,15 +1,117 @@
-"""Shared fixtures-in-spirit: projections and manufactured polynomial data."""
+"""Shared fixtures-in-spirit: meshes, projections and manufactured polynomial data."""
 
 import numpy as np
 import scipy.sparse as sp
 import sympy
 
 from helmtrefftz import local_trefftz
+from helmtrefftz.mesh import build_unit_disk_mesh, cross2, mesh_from_triangulation
 from helmtrefftz.polyspace import (
     _monomial_tables,
     map_rule_to_triangle,
     quadrature_rule,
 )
+
+
+def refine(mesh):
+    """Uniform refinement: split every triangle into 4 congruent children.
+
+    Edge midpoints are numbered after the old vertices in the order their
+    edges first occur, walking (a,b), (b,c), (c,a) of each triangle.
+    """
+    tris = mesh.triangles
+    nv = len(mesh.vertices)
+    ends = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, first, edge = np.unique(
+        ends[:, 0] * nv + ends[:, 1], return_index=True, return_inverse=True
+    )
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    new_ends = ends[np.sort(first)]
+    midpoints = (mesh.vertices[new_ends[:, 0]] + mesh.vertices[new_ends[:, 1]]) / 2.0
+    mab, mbc, mca = (nv + rank[edge.reshape(-1, 3)]).T
+    a, b, c = tris.T
+    children = np.stack(
+        [[a, mab, mca], [mab, b, mbc], [mca, mbc, c], [mab, mbc, mca]], axis=0
+    )  # (4, 3, Nt)
+    return mesh_from_triangulation(
+        np.concatenate([mesh.vertices, midpoints]),
+        children.transpose(2, 0, 1).reshape(-1, 3),
+        domain_area=mesh.domain_area,
+    )
+
+
+def reference_faces(vertices, triangles):
+    """Face arrays derived one edge at a time with a dict, the reference
+    for the vectorized derivation in mesh_from_triangulation."""
+    centroids = vertices[triangles].mean(axis=1)
+    edge_owners = {}
+    for k, tri in enumerate(triangles):
+        for va, vb in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(va, vb), max(va, vb))
+            edge_owners.setdefault(key, []).append(k)
+    interior, boundary = [], []
+    for (va, vb), owners in edge_owners.items():
+        p0, p1 = vertices[va], vertices[vb]
+        tang = p1 - p0
+        length = float(np.hypot(*tang))
+        normal = np.array([tang[1], -tang[0]]) / length
+        if len(owners) == 2:
+            plus, minus = sorted(owners)
+            if normal @ (centroids[minus] - centroids[plus]) < 0.0:
+                normal = -normal
+            interior.append((plus, minus, va, vb, normal, length))
+        else:
+            (elem,) = owners
+            if normal @ (0.5 * (p0 + p1) - centroids[elem]) < 0.0:
+                normal = -normal
+            boundary.append((elem, va, vb, normal, length))
+    interior.sort(key=lambda f: f[:4])
+    boundary.sort(key=lambda f: f[:3])
+
+    def arrays(rows, owner_names):
+        n = len(owner_names)
+        cols = list(zip(*rows)) or [()] * (n + 4)
+        out = {name: np.array(col, dtype=int) for name, col in zip(owner_names, cols)}
+        out["v0"] = vertices[np.array(cols[n], dtype=int)]
+        out["v1"] = vertices[np.array(cols[n + 1], dtype=int)]
+        out["normal"] = np.array(cols[n + 2], dtype=float).reshape(-1, 2)
+        out["length"] = np.array(cols[n + 3], dtype=float)
+        return out
+
+    return (
+        arrays(interior, ("plus", "minus")),
+        arrays(boundary, ("element",)),
+    )
+
+
+def shuffled_jittered_disk(rings=3, seed=0):
+    """Unit-disk triangulation with permuted triangles and vertex labels,
+    each triangle's vertices rotated cyclically and the interior vertices
+    jittered by up to a tenth of the ring spacing; every triangle stays
+    counterclockwise."""
+    rng = np.random.default_rng(seed)
+    base = build_unit_disk_mesh(rings)
+    verts = base.vertices.copy()
+    interior = np.abs(np.hypot(verts[:, 0], verts[:, 1]) - 1.0) > 1e-12
+    verts[interior] += (0.1 / rings) * rng.uniform(-1.0, 1.0, (interior.sum(), 2))
+    relabel = rng.permutation(len(verts))  # old label -> new label
+    new_verts = np.empty_like(verts)
+    new_verts[relabel] = verts
+    tris = relabel[base.triangles[rng.permutation(base.n_elements)]]
+    shift = rng.integers(0, 3, len(tris))
+    tris = tris[np.arange(len(tris))[:, None], (np.arange(3) + shift[:, None]) % 3]
+    t = new_verts[tris]
+    assert np.all(cross2(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]) > 0.0)
+    return mesh_from_triangulation(new_verts, tris, domain_area=base.domain_area)
+
+
+def element_tables(mesh, element, p, points):
+    """Basis tables of one element, in its own frame, at points (..., 2)."""
+    points = np.asarray(points, dtype=float)
+    return _monomial_tables(
+        mesh.incenters[element], mesh.diameters[element], p, np.atleast_2d(points)
+    )
 
 
 def zero_f(pts):

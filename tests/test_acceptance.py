@@ -45,7 +45,6 @@ from helmtrefftz.mesh import (
     build_unit_disk_mesh,
     build_unit_square_mesh,
     mesh_from_triangulation,
-    refine,
 )
 from helmtrefftz.polyspace import dim_poly
 from helmtrefftz.solve_pipeline import (
@@ -55,7 +54,7 @@ from helmtrefftz.solve_pipeline import (
     solve_reduced_system,
     solve_standard_dg,
 )
-from helpers import embedding_matrix, polynomial_problem, project
+from helpers import embedding_matrix, polynomial_problem, project, refine
 from test_bessel import oracle_j0, oracle_j1, oracle_y0, oracle_y1
 
 PLANEWAVE_DOF_CAP = int(os.environ.get("HELMTREFFTZ_PLANEWAVE_DOF_CAP", "600000"))

@@ -1,9 +1,12 @@
 """Every demo runs to completion against the current library.
 
-The local-space tour takes about a second and runs always; the four
-sweep demos take about 90 s together and carry the slow marker.  Each
-runs in a fresh interpreter inside a temporary directory, because the
-sweep demos write their CSV tables to the working directory.
+The local-space tour takes about a second and runs always; its output
+(kernels, particular solution and the three constant diagnostics) must
+match tests/data/golden_local_space_diagnostics.txt byte for byte at one
+BLAS and OpenMP thread, like the CSV tables of test_golden_csv.py.  The
+four sweep demos take about 90 s together and carry the slow marker.
+Each runs in a fresh interpreter inside a temporary directory, because
+the sweep demos write their CSV tables to the working directory.
 """
 
 import os
@@ -15,10 +18,11 @@ import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SRC = DEMOS.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_demo(name, cwd):
-    env = dict(os.environ)
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(DEMOS / name)],
@@ -36,6 +40,8 @@ def test_local_space_diagnostics_demo(tmp_path):
     for p in range(2, 7):
         assert f"kernel dim = {2 * p + 1:2d} (= 2p+1)" in result.stdout
     assert "moments residual" in result.stdout
+    golden = (DATA / "golden_local_space_diagnostics.txt").read_text()
+    assert result.stdout == golden
 
 
 @pytest.mark.slow

@@ -11,15 +11,15 @@ from helmtrefftz.dg_assembly import (
     assemble_sipdg,
     omega_values,
 )
-from helmtrefftz.mesh import (
-    build_unit_square_mesh,
-    mesh_from_triangulation,
-    refine,
+from helmtrefftz.mesh import build_unit_square_mesh, mesh_from_triangulation
+from helmtrefftz.polyspace import (
+    dim_poly,
+    edge_quadrature_rule,
+    map_rule_to_triangle,
+    quadrature_rule,
 )
-from helmtrefftz.polyspace import dim_poly, map_rule_to_triangle, quadrature_rule
-
-
-from helpers import polynomial_problem, project, residual, zero_f, zero_g
+from helmtrefftz.solve_pipeline import solve_embedded_trefftz, solve_standard_dg
+from helpers import polynomial_problem, project, refine, residual, zero_f, zero_g
 
 
 def test_form_parameters_validation():
@@ -61,6 +61,37 @@ def test_callable_omega_rejected_at_one_quadrature_node(bad):
     assert np.array_equal(omega_values(3.0, pts), np.full(pts.shape[:-1], 3.0))
 
 
+def nan_at(node):
+    """Unit data that is NaN at one point."""
+
+    def data(pts, normals=None):
+        return np.where(np.all(pts == node, axis=-1), np.nan, 1.0) + 0j
+
+    return data
+
+
+@pytest.mark.parametrize("solver", [solve_standard_dg, solve_embedded_trefftz])
+def test_non_finite_source_rejected_naming_the_element(solver):
+    # the right-hand sides read f at the order-(2p+6) volume rule
+    mesh, params = build_unit_square_mesh(2), FormParameters(omega=2.0, p=2)
+    pts, _ = map_rule_to_triangle(quadrature_rule(10), mesh.tri_coords)
+    f = nan_at(pts[6, 4])
+    with pytest.raises(ValueError, match=r"source f\(x\) must be finite") as info:
+        solver(mesh, params, f, zero_g)
+    assert "index 6 along the first axis (element)" in str(info.value)
+
+
+@pytest.mark.parametrize("solver", [solve_standard_dg, solve_embedded_trefftz])
+def test_non_finite_boundary_data_rejected_naming_the_face(solver):
+    mesh, params = build_unit_square_mesh(2), FormParameters(omega=2.0, p=2)
+    fb = mesh.boundary_faces
+    nodes = edge_quadrature_rule(10).nodes
+    node = fb["v0"][3] + nodes[1] * (fb["v1"][3] - fb["v0"][3])
+    with pytest.raises(ValueError, match=r"boundary data g\(x, n\)") as info:
+        solver(mesh, params, zero_f, nan_at(node))
+    assert "index 3 along the first axis (boundary face)" in str(info.value)
+
+
 def test_single_element_piecewise_constant():
     # only the mass and impedance terms survive at p=0
     mesh = mesh_from_triangulation(
@@ -99,14 +130,9 @@ def test_orientation_flip_leaves_matrix_unchanged():
     mesh = build_unit_square_mesh(1)
     params = FormParameters(omega=3.0, p=2)
     A = assemble_sipdg(mesh, params)
-    face = mesh.interior_faces[0]
-    flipped = dataclasses.replace(
-        face,
-        plus_element=face.minus_element,
-        minus_element=face.plus_element,
-        unit_normal=(-face.unit_normal[0], -face.unit_normal[1]),
-    )
-    mesh_flipped = dataclasses.replace(mesh, interior_faces=[flipped])
+    fa = mesh.interior_faces
+    flipped = dict(fa, plus=fa["minus"], minus=fa["plus"], normal=-fa["normal"])
+    mesh_flipped = dataclasses.replace(mesh, interior_faces=flipped)
     B = assemble_sipdg(mesh_flipped, params)
     assert spla.norm(A - B) <= 1e-13 * spla.norm(A)
 
@@ -136,7 +162,7 @@ def test_rhs_boundary_data_locality():
         zero_f,
         lambda pts, normals: np.ones(pts.shape[:-1], dtype=complex),
     )
-    touching = {face.element for face in mesh.boundary_faces}
+    touching = set(mesh.boundary_faces["element"].tolist())
     blocks = b.reshape(mesh.n_elements, dim_poly(1))
     for k in range(mesh.n_elements):
         if k in touching:

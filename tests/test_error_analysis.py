@@ -12,13 +12,9 @@ from helmtrefftz.error_analysis import (
     l2_error,
 )
 from helmtrefftz.exact_solutions import ManufacturedCase, sinsin_case
-from helmtrefftz.mesh import (
-    build_unit_square_mesh,
-    element_geometry,
-    mesh_from_triangulation,
-)
+from helmtrefftz.mesh import build_unit_square_mesh, mesh_from_triangulation
 from helmtrefftz.solve_pipeline import SolutionField, solve_standard_dg
-from helpers import polynomial_problem, project
+from helpers import element_tables, polynomial_problem, project
 
 REFERENCE_TRIANGLE = mesh_from_triangulation(
     np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]])
@@ -125,20 +121,18 @@ def test_dg_error_single_face_jump_additivity():
     case = constant_case(omega=omega, value=0.0)
     coeffs = np.zeros(2 * 6, dtype=complex)
     coeffs[0] = j  # constant mode of the plus element
-    plus = mesh.interior_faces[0].plus_element
+    fa, fb = mesh.interior_faces, mesh.boundary_faces
+    plus, minus = fa["plus"][0], fa["minus"][0]
     if plus == 1:
         coeffs = np.roll(coeffs, 6)
     field = SolutionField(coeffs, p, mesh, "standard-dg")
-    face = mesh.interior_faces[0]
-    h_face = 0.5 * (mesh.diameters[face.plus_element] + mesh.diameters[face.minus_element])
+    h_face = 0.5 * (mesh.diameters[plus] + mesh.diameters[minus])
     area = mesh.areas[plus]
-    bdry_len = sum(
-        f.length for f in mesh.boundary_faces if f.element == plus
-    )
+    bdry_len = fb["length"][fb["element"] == plus].sum()
     expected_sq = (
         omega**2 * j**2 * area
         + omega * j**2 * bdry_len
-        + (p**2 / h_face) * j**2 * face.length
+        + (p**2 / h_face) * j**2 * fa["length"][0]
     )
     assert dg_error(field, case) ** 2 == pytest.approx(expected_sq, rel=1e-12)
 
@@ -171,11 +165,11 @@ def test_dofs_per_wavelength_values():
 
 
 def test_inverse_trace_constant_lower_bound():
-    g = element_geometry(REFERENCE_TRIANGLE, 0)
+    h, area = REFERENCE_TRIANGLE.diameters[0], REFERENCE_TRIANGLE.areas[0]
     perimeter = 2.0 + np.sqrt(2.0)
     for p in (1, 3):
         est = estimate_inverse_trace(REFERENCE_TRIANGLE, 0, p)
-        lower = np.sqrt(perimeter * g.diameter) / (p * np.sqrt(g.area))
+        lower = np.sqrt(perimeter * h) / (p * np.sqrt(area))
         assert est.value >= lower - 1e-12
 
 
@@ -226,15 +220,14 @@ def test_local_coercivity_positive_under_resolution():
 def test_local_coercivity_matches_direct_laplace_constraint():
     # at omega = 0 the constraint is the pure scaled-Laplacian pairing
     from helmtrefftz.local_trefftz import constraint_matrices
-    from helmtrefftz.polyspace import eval_basis, map_rule_to_triangle, quadrature_rule
+    from helmtrefftz.polyspace import map_rule_to_triangle, quadrature_rule
 
     mesh, p = REFERENCE_TRIANGLE, 3
     W = constraint_matrices(mesh, p, 0.0)[0]
-    geom = element_geometry(mesh, 0)
     pts, w = map_rule_to_triangle(quadrature_rule(2 * p + 2), mesh.tri_coords[0])
-    hi = eval_basis(geom, p, pts)
-    lo = eval_basis(geom, p - 2, pts)
-    direct = -geom.diameter * np.einsum("qm,qn,q->mn", lo.values, hi.laplacians, w)
+    hi = element_tables(mesh, 0, p, pts)
+    lo = element_tables(mesh, 0, p - 2, pts)
+    direct = -mesh.diameters[0] * np.einsum("qm,qn,q->mn", lo.values, hi.laplacians, w)
     assert np.abs(W - direct).max() <= 1e-13 * (1.0 + np.abs(direct).max())
 
 

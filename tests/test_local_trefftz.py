@@ -15,18 +15,15 @@ from helmtrefftz.local_trefftz import (
 from helmtrefftz.mesh import (
     build_unit_disk_mesh,
     build_unit_square_mesh,
-    element_geometry,
     mesh_from_triangulation,
 )
 from helmtrefftz.polyspace import (
     _element_mass_grams,
     dim_poly,
-    element_mass_gram,
-    eval_basis,
     monomial_exponents,
 )
 from helmtrefftz.solve_pipeline import build_global_embedding, particular_field
-from helpers import embedding_matrix, zero_constraints
+from helpers import element_tables, embedding_matrix, zero_constraints
 
 SQUARE = build_unit_square_mesh(4)
 
@@ -49,10 +46,9 @@ def reference_kernel(mesh, element, p, W):
     if p < 6:
         rank = int(np.sum(s > local_trefftz.RANK_TOLERANCE * s[0]))
         return rank, vt[rank:].T
-    geom = element_geometry(mesh, element)
     r_trial, r_test = (
         np.linalg.inv(
-            np.linalg.cholesky(element_mass_gram(geom, mesh.tri_coords[element], q))
+            np.linalg.cholesky(_element_mass_grams(mesh, q, np.array([element]))[0])
         ).T
         for q in (p, p - 2)
     )
@@ -84,8 +80,7 @@ def test_constant_column_laplace_free():
 def test_constant_entry_with_mass_term():
     omega = 3.0
     W = constraint(SQUARE, 0, 2, omega)
-    geom = element_geometry(SQUARE, 0)
-    expected = -(omega**2) * geom.diameter * geom.area
+    expected = -(omega**2) * SQUARE.diameters[0] * SQUARE.areas[0]
     assert W[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
@@ -233,11 +228,10 @@ def test_weak_trefftz_residual_of_kernel_functions():
     p, omega, k = 4, 2.0, 3
     mesh = SQUARE
     local = all_local_trefftz(mesh, p, omega)
-    geom = element_geometry(mesh, k)
-    gram_low = element_mass_gram(geom, mesh.tri_coords[k], p - 2)
-    gram_high = element_mass_gram(geom, mesh.tri_coords[k], p)
+    gram_low = _element_mass_grams(mesh, p - 2, np.array([k]))[0]
+    gram_high = _element_mass_grams(mesh, p, np.array([k]))[0]
     for col in kernel(local, k).T:
-        moments = local.matrices[k] @ col / geom.diameter  # <resid, q> per q
+        moments = local.matrices[k] @ col / mesh.diameters[k]  # <resid, q> per q
         proj_coeffs = np.linalg.solve(gram_low, moments)
         proj_norm = np.sqrt(proj_coeffs @ gram_low @ proj_coeffs)
         v_norm = np.sqrt(col @ gram_high @ col)
@@ -269,8 +263,8 @@ def test_local_rhs_zero_source():
 
 def test_local_rhs_constant_source():
     moments = all_local_rhs(SQUARE, 2, lambda pts: np.ones(pts.shape[:-1]))
-    geom = element_geometry(SQUARE, 0)
-    assert moments[0, 0] == pytest.approx(geom.diameter * geom.area, rel=1e-14)
+    expected = SQUARE.diameters[0] * SQUARE.areas[0]
+    assert moments[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_local_rhs_consistent_with_constraint():
@@ -278,10 +272,9 @@ def test_local_rhs_consistent_with_constraint():
     p, omega, k = 4, 2.0, 5
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(dim_poly(p))
-    geom = element_geometry(SQUARE, k)
 
     def f(pts):
-        ev = eval_basis(geom, p, pts)
+        ev = element_tables(SQUARE, k, p, pts)
         return -(ev.laplacians @ coeffs) - omega**2 * (ev.values @ coeffs)
 
     local = all_local_trefftz(SQUARE, p, omega)

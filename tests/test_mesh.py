@@ -6,17 +6,18 @@ import pytest
 from helmtrefftz.mesh import (
     build_unit_disk_mesh,
     build_unit_square_mesh,
-    element_geometry,
     mesh_from_triangulation,
-    refine,
 )
+from helpers import reference_faces, refine, shuffled_jittered_disk
+
+REFERENCE_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def test_square_counts_n1():
     m = build_unit_square_mesh(1)
     assert m.n_elements == 2
-    assert len(m.interior_faces) == 1
-    assert len(m.boundary_faces) == 4
+    assert len(m.interior_faces["plus"]) == 1
+    assert len(m.boundary_faces["element"]) == 4
 
 
 def test_square_counts_n2():
@@ -39,16 +40,16 @@ def test_square_rejects_zero():
 def test_disk_hexagon_fan():
     m = build_unit_disk_mesh(1)
     assert m.n_elements == 6
-    assert len(m.boundary_faces) == 6
+    assert len(m.boundary_faces["element"]) == 6
     assert m.domain_area == math.pi
 
 
 @pytest.mark.parametrize("rings", [1, 2, 3])
 def test_disk_boundary_vertices_on_circle(rings):
     m = build_unit_disk_mesh(rings)
-    for face in m.boundary_faces:
-        for v in face.endpoints:
-            assert abs(np.linalg.norm(m.vertices[v]) - 1.0) <= 1e-14
+    for end in ("v0", "v1"):
+        radii = np.linalg.norm(m.boundary_faces[end], axis=1)
+        assert np.abs(radii - 1.0).max() <= 1e-14
 
 
 def test_disk_area_defect_second_order():
@@ -59,34 +60,28 @@ def test_disk_area_defect_second_order():
 
 
 def test_element_geometry_reference_triangle():
-    m = mesh_from_triangulation(
-        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]])
-    )
-    g = element_geometry(m, 0)
-    assert g.area == pytest.approx(0.5, abs=1e-15)
-    assert g.diameter == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    m = mesh_from_triangulation(REFERENCE_VERTICES, np.array([[0, 1, 2]]))
+    assert m.areas[0] == pytest.approx(0.5, abs=1e-15)
+    assert m.diameters[0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
     # incircle radius area/semiperimeter
-    assert g.inradius == pytest.approx(1.0 / (2.0 + math.sqrt(2.0)), abs=1e-14)
+    assert m.inradii[0] == pytest.approx(1.0 / (2.0 + math.sqrt(2.0)), abs=1e-14)
 
 
 def test_equilateral_incenter_is_centroid():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
     m = mesh_from_triangulation(verts, np.array([[0, 1, 2]]))
-    g = element_geometry(m, 0)
-    assert np.allclose(g.center, verts.mean(axis=0), atol=1e-14)
+    assert np.allclose(m.incenters[0], verts.mean(axis=0), atol=1e-14)
 
 
 def test_incenter_ball_inside_element():
     m = build_unit_disk_mesh(3)
-    for k in range(m.n_elements):
-        g = element_geometry(m, k)
-        tri = m.tri_coords[k]
-        for i in range(3):
-            v0, v1 = tri[i], tri[(i + 1) % 3]
-            t = v1 - v0
-            n = np.array([t[1], -t[0]]) / np.linalg.norm(t)
-            dist = abs(n @ (np.asarray(g.center) - v0))
-            assert dist >= g.inradius - 1e-12
+    tri = m.tri_coords
+    for i in range(3):
+        v0, v1 = tri[:, i], tri[:, (i + 1) % 3]
+        t = v1 - v0
+        n = np.stack([t[:, 1], -t[:, 0]], axis=1) / np.linalg.norm(t, axis=1)[:, None]
+        dist = np.abs(np.einsum("ed,ed->e", n, m.incenters - v0))
+        assert np.all(dist >= m.inradii - 1e-12)
 
 
 def test_degenerate_triangle_rejected():
@@ -106,7 +101,7 @@ def test_refine_counts_and_sizes():
     r = refine(m)
     assert r.n_elements == 8
     assert r.max_diameter == pytest.approx(m.max_diameter / 2.0, abs=1e-15)
-    assert len(r.boundary_faces) == 2 * len(m.boundary_faces)
+    assert len(r.boundary_faces["element"]) == 2 * len(m.boundary_faces["element"])
     assert abs(r.areas.sum() - 1.0) < 1e-12
 
 
@@ -121,16 +116,58 @@ def test_refine_matches_finer_grid():
 )
 def test_face_topology_invariants(mesh):
     # every triangle edge is either shared by two elements or on the boundary
-    assert 3 * mesh.n_elements == 2 * len(mesh.interior_faces) + len(mesh.boundary_faces)
-    for face in mesh.interior_faces:
-        n = np.asarray(face.unit_normal)
-        assert abs(np.linalg.norm(n) - 1.0) <= 1e-14
-        d = mesh.centroids[face.minus_element] - mesh.centroids[face.plus_element]
-        assert n @ d > 0.0
-    for face in mesh.boundary_faces:
-        n = np.asarray(face.unit_normal)
-        mid = mesh.vertices[list(face.endpoints)].mean(axis=0)
-        assert n @ (mid - mesh.centroids[face.element]) > 0.0
+    fa, fb = mesh.interior_faces, mesh.boundary_faces
+    assert 3 * mesh.n_elements == 2 * len(fa["plus"]) + len(fb["element"])
+    assert np.all(fa["plus"] < fa["minus"])
+    for faces in (fa, fb):
+        assert np.abs(np.linalg.norm(faces["normal"], axis=1) - 1.0).max() <= 1e-14
+    d = mesh.centroids[fa["minus"]] - mesh.centroids[fa["plus"]]
+    assert np.all(np.einsum("fd,fd->f", fa["normal"], d) > 0.0)
+    out = 0.5 * (fb["v0"] + fb["v1"]) - mesh.centroids[fb["element"]]
+    assert np.all(np.einsum("fd,fd->f", fb["normal"], out) > 0.0)
+
+
+REFERENCE_MESHES = {
+    "square1": lambda: build_unit_square_mesh(1),
+    "square3": lambda: build_unit_square_mesh(3),
+    "disk1": lambda: build_unit_disk_mesh(1),
+    "disk2": lambda: build_unit_disk_mesh(2),
+    "disk5": lambda: build_unit_disk_mesh(5),
+    "disk3-refined": lambda: refine(build_unit_disk_mesh(3)),
+    "triangle": lambda: mesh_from_triangulation(
+        REFERENCE_VERTICES, np.array([[0, 1, 2]])
+    ),
+    "disk3-shuffled": lambda: shuffled_jittered_disk(3, seed=7),
+}
+
+
+@pytest.mark.parametrize(
+    "build", REFERENCE_MESHES.values(), ids=REFERENCE_MESHES.keys()
+)
+def test_faces_match_dict_loop_reference(build):
+    mesh = build()
+    interior, boundary = reference_faces(mesh.vertices, mesh.triangles)
+    pairs = ((mesh.interior_faces, interior), (mesh.boundary_faces, boundary))
+    for faces, expected in pairs:
+        assert faces.keys() == expected.keys()
+        for key, ref in expected.items():
+            assert faces[key].shape == ref.shape, key
+            assert np.array_equal(faces[key], ref), key
+
+
+def test_edge_shared_by_three_triangles_rejected():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, -1.0]])
+    tris = np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]])
+    with pytest.raises(ValueError, match=r"edge \(0,1\) shared by 3 triangles"):
+        mesh_from_triangulation(verts, tris)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_vertex_rejected(bad):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    verts[2, 1] = bad
+    with pytest.raises(ValueError, match="at vertex 2"):
+        mesh_from_triangulation(verts, np.array([[0, 1, 2], [1, 3, 2]]))
 
 
 @pytest.mark.parametrize(

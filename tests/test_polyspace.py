@@ -6,26 +6,29 @@ import pytest
 
 from helmtrefftz.mesh import (
     build_unit_disk_mesh,
-    element_geometry,
+    build_unit_square_mesh,
     mesh_from_triangulation,
 )
 from helmtrefftz.polyspace import (
     MAX_QUAD_ORDER,
+    _element_boundary_grams,
+    _element_mass_grams,
+    _element_stiffness_grams,
     _monomial_tables,
     bubble_basis,
     dim_poly,
     edge_quadrature_rule,
-    element_mass_gram,
-    eval_basis,
     map_rule_to_triangle,
     monomial_exponents,
     quadrature_rule,
 )
+from helpers import element_tables, refine
 
 
 def make_element(verts):
-    m = mesh_from_triangulation(np.asarray(verts, dtype=float), np.array([[0, 1, 2]]))
-    return m, element_geometry(m, 0)
+    return mesh_from_triangulation(
+        np.asarray(verts, dtype=float), np.array([[0, 1, 2]])
+    )
 
 
 # 3-4-5 right triangle: rational incenter (1, 1), diameter 5
@@ -45,30 +48,30 @@ def test_exponent_order_graded():
 
 
 def test_constant_member_values():
-    _, geom = make_element(PYTHAGOREAN)
-    ev = eval_basis(geom, 2, np.array(geom.center))
+    mesh = make_element(PYTHAGOREAN)
+    ev = element_tables(mesh, 0, 2, mesh.incenters[0])
     assert ev.values[..., 0] == pytest.approx(1.0)
     assert np.allclose(ev.gradients[..., 0, :], 0.0)
     assert ev.laplacians[..., 0] == pytest.approx(0.0)
 
 
 def test_pure_square_laplacian():
-    _, geom = make_element(PYTHAGOREAN)
+    mesh = make_element(PYTHAGOREAN)
     p = 2
     exps = monomial_exponents(p)
     idx = [i for i, (a, b) in enumerate(exps) if (a, b) == (2, 0)][0]
     pts = np.array([[0.5, 0.5], [1.5, 0.3]])
-    ev = eval_basis(geom, p, pts)
-    assert np.allclose(ev.laplacians[..., idx], 2.0 / geom.diameter**2)
+    ev = element_tables(mesh, 0, p, pts)
+    assert np.allclose(ev.laplacians[..., idx], 2.0 / mesh.diameters[0] ** 2)
 
 
 def test_linear_gradient_constant():
-    _, geom = make_element(PYTHAGOREAN)
+    mesh = make_element(PYTHAGOREAN)
     exps = monomial_exponents(1)
     idx = [i for i, (a, b) in enumerate(exps) if (a, b) == (1, 0)][0]
     pts = np.array([[0.1, 0.2], [2.0, 0.5], [0.3, 2.5]])
-    ev = eval_basis(geom, 1, pts)
-    assert np.allclose(ev.gradients[..., idx, 0], 1.0 / geom.diameter)
+    ev = element_tables(mesh, 0, 1, pts)
+    assert np.allclose(ev.gradients[..., idx, 0], 1.0 / mesh.diameters[0])
     assert np.allclose(ev.gradients[..., idx, 1], 0.0)
 
 
@@ -115,7 +118,7 @@ def test_monomial_tables_volume_frames_bitwise(p):
 
 @pytest.mark.parametrize("p", range(15))
 def test_monomial_tables_face_frames_bitwise(p):
-    fa = DISK.iface_arrays
+    fa = DISK.interior_faces
     nodes = edge_quadrature_rule(min(2 * p + 2, MAX_QUAD_ORDER)).nodes
     tangents = (fa["v1"] - fa["v0"])[:, None, :]
     pts = fa["v0"][:, None, :] + nodes[None, :, None] * tangents
@@ -129,13 +132,15 @@ def test_monomial_tables_face_frames_bitwise(p):
 
 @pytest.mark.parametrize("p", range(15))
 def test_eval_basis_scalar_frame_bitwise(p):
-    _, geom = make_element([[0.2, -0.1], [1.1, 0.3], [0.4, 1.2]])
+    # (id kept for stability) the one-element frames of the single-element
+    # diagnostics, at scattered points and at the incenter itself
+    mesh = make_element([[0.2, -0.1], [1.1, 0.3], [0.4, 1.2]])
     rng = np.random.default_rng(p)
-    center, scale = np.asarray(geom.center), np.asarray(geom.diameter)
+    center, scale = mesh.incenters[:1], mesh.diameters[:1]
     for pts in (center + 0.4 * rng.standard_normal((9, 2)), center):
         assert_tables_bitwise(
-            eval_basis(geom, p, pts),
-            closed_form_tables(center, scale, p, np.atleast_2d(pts)),
+            _monomial_tables(center, scale, p, pts[None]),
+            closed_form_tables(center, scale, p, pts[None]),
         )
 
 
@@ -175,10 +180,9 @@ def test_quadrature_order_rejected():
 
 def test_scaled_monomial_products_match_exact_moments():
     # quadrature of m_i * m_j against an exact rational expansion
-    mesh, geom = make_element(PYTHAGOREAN)
-    p = 4
-    order = 2 * p + 2
-    gram = element_mass_gram(geom, mesh.tri_coords[0], p, order=order)
+    mesh = make_element(PYTHAGOREAN)
+    p = 4  # the Gram rule has order 2p + 2, exact for these products
+    gram = _element_mass_grams(mesh, p)[0]
     exps = monomial_exponents(p)
     cx, cy, h = Fraction(1), Fraction(1), Fraction(5)
 
@@ -220,50 +224,79 @@ def test_edge_quadrature_order_rejected():
         edge_quadrature_rule(31)
 
 
+def test_low_degree_grams_exact():
+    # p=1 on the 3-4-5 triangle: basis 1, X, Y with grad X = (1/h, 0)
+    mesh = make_element(PYTHAGOREAN)
+    area, h = 6.0, 5.0
+    stiffness = _element_stiffness_grams(mesh, 1)[0]
+    assert np.allclose(stiffness, np.diag([0.0, 1.0, 1.0]) * area / h**2, atol=1e-15)
+    values, normal_derivs = (g[0] for g in _element_boundary_grams(mesh, 1))
+    assert values[0, 0] == pytest.approx(12.0, rel=1e-14)  # perimeter
+    # sum over edges of |F| n_x^2 and |F| n_y^2: bottom 4 (0,-1), left 3
+    # (-1,0), hypotenuse 5 (3,4)/5
+    assert normal_derivs[1, 1] == pytest.approx((3.0 + 5.0 * 0.36) / h**2, rel=1e-14)
+    assert normal_derivs[2, 2] == pytest.approx((4.0 + 5.0 * 0.64) / h**2, rel=1e-14)
+    assert np.all(normal_derivs[0] == 0.0)
+
+
+@pytest.mark.parametrize("p", [0, 3, 6])
+def test_element_grams_of_selected_elements_bitwise(p):
+    # the diagnostics read one element at a time; the batch rows are the same
+    mesh = build_unit_disk_mesh(2)
+    picked = np.array([11, 0, 5])
+    for build in (
+        _element_mass_grams,
+        _element_stiffness_grams,
+        lambda *args: np.stack(_element_boundary_grams(*args), axis=1),
+        bubble_basis,
+    ):
+        everything = build(mesh, p)
+        assert len(everything) == mesh.n_elements
+        assert np.array_equal(build(mesh, p, picked), everything[picked])
+        for k in picked:
+            assert np.array_equal(build(mesh, p, np.array([k]))[0], everything[k])
+
+
 @pytest.mark.parametrize("p,size", [(0, 0), (1, 0), (2, 1), (3, 3), (5, 10)])
 def test_bubble_sizes(p, size):
-    _, geom = make_element(PYTHAGOREAN)
-    assert bubble_basis(geom, p).size == size
+    mesh = make_element(PYTHAGOREAN)
+    assert bubble_basis(mesh, p).shape == (1, dim_poly(p), size)
 
 
 def test_bubble_vanishes_on_incircle():
-    mesh, geom = make_element(PYTHAGOREAN)
+    mesh = make_element(PYTHAGOREAN)
     p = 4
-    bubble = bubble_basis(geom, p)
+    coeffs = bubble_basis(mesh, p)[0]
     angles = 2.0 * np.pi * np.arange(8) / 8.0
-    pts = np.asarray(geom.center) + geom.inradius * np.stack(
+    pts = mesh.incenters[0] + mesh.inradii[0] * np.stack(
         [np.cos(angles), np.sin(angles)], axis=1
     )
-    vals = eval_basis(geom, p, pts).values @ bubble.coefficients
-    scale = np.abs(bubble.coefficients).max()
+    vals = element_tables(mesh, 0, p, pts).values @ coeffs
+    scale = np.abs(coeffs).max()
     assert np.abs(vals).max() <= 1e-12 * scale
 
 
 def test_bubble_expansion_is_exact():
     # direct evaluation of (|x-c|^2 - r^2) m(x) matches the P^p expansion
-    mesh, geom = make_element([[0.2, -0.1], [1.1, 0.3], [0.4, 1.2]])
+    mesh = make_element([[0.2, -0.1], [1.1, 0.3], [0.4, 1.2]])
     p = 5
-    bubble = bubble_basis(geom, p)
+    coeffs = bubble_basis(mesh, p)[0]
     rng = np.random.default_rng(5)
-    pts = np.asarray(geom.center) + 0.3 * rng.standard_normal((20, 2))
-    ev_low = eval_basis(geom, p - 2, pts).values
-    ev_high = eval_basis(geom, p, pts).values
-    c = np.asarray(geom.center)
-    factor = np.sum((pts - c) ** 2, axis=1) - geom.inradius**2
+    c = mesh.incenters[0]
+    pts = c + 0.3 * rng.standard_normal((20, 2))
+    ev_low = element_tables(mesh, 0, p - 2, pts).values
+    ev_high = element_tables(mesh, 0, p, pts).values
+    factor = np.sum((pts - c) ** 2, axis=1) - mesh.inradii[0] ** 2
     direct = factor[:, None] * ev_low
-    expanded = ev_high @ bubble.coefficients
+    expanded = ev_high @ coeffs
     assert np.abs(direct - expanded).max() <= 1e-12 * max(np.abs(direct).max(), 1.0)
 
 
 def test_mass_conditioning_h_independent():
     # the scaled frame keeps element mass conditioning fixed under refinement
-    from helmtrefftz.mesh import build_unit_square_mesh, refine
-
     conds = []
     m = build_unit_square_mesh(2)
     for _ in range(3):
-        geom = element_geometry(m, 0)
-        gram = element_mass_gram(geom, m.tri_coords[0], 4)
-        conds.append(np.linalg.cond(gram))
+        conds.append(np.linalg.cond(_element_mass_grams(m, 4, np.array([0]))[0]))
         m = refine(m)
     assert max(conds) / min(conds) <= 1.01

@@ -12,7 +12,7 @@ from helmtrefftz.local_trefftz import (
     all_local_rhs,
     all_local_trefftz,
 )
-from helmtrefftz.mesh import build_unit_disk_mesh, build_unit_square_mesh, refine
+from helmtrefftz.mesh import build_unit_disk_mesh, build_unit_square_mesh
 from helmtrefftz.polyspace import _element_mass_grams, dim_poly
 from helmtrefftz.solve_pipeline import (
     SingularSystemError,
@@ -35,6 +35,7 @@ from helpers import (
     embedding_matrix,
     polynomial_problem,
     project,
+    refine,
     residual,
     zero_constraints,
     zero_f,
