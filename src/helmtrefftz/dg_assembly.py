@@ -15,6 +15,24 @@ Basis functions are real, so the assembled matrix is complex symmetric
 part.  The penalty uses the face-local mesh size
 h_F = (h_K+ + h_K-)/2 (h_K on boundary faces), which on quasi-uniform
 meshes differs from a global-h scaling only by a bounded factor.
+
+Summation order.  The CSV bytes depend on the rounding of every entry
+of A, so each Gram keeps the order of the stacked np.einsum it was
+first written with: every quadrature point contributes its product
+(a_i b_j) w, and the points are added in order starting from zero.
+The gradient Gram comes from polyspace._weighted_gram, which adds the
+two gradient terms of a point before the point (einsum's order without
+its two-wide inner loop).  On interior faces the term
+({grad v . n}, [u]) is the transpose of ([v], {grad u . n}) with the
+sides swapped, and the penalty Gram of (-, +) is that of (+, -)
+transposed; the products commute, so the transposes are exact.  A
+matmul would sum in another order and move the round-off floor of the
+errors (sinsin, p = 12).
+
+The matrix is built from stacked element-pair blocks.  They stay real
+(only the impedance blocks are complex) until one pass writes them,
+in a fixed order, into COO arrays allocated once; scipy then sums the
+duplicates in that order, and every table and block is freed first.
 """
 
 from __future__ import annotations
@@ -30,6 +48,8 @@ from .mesh import Mesh
 from .polyspace import (
     MAX_QUAD_ORDER,
     _monomial_tables,
+    _volume_tables,
+    _weighted_gram,
     dim_poly,
     edge_quadrature_rule,
     map_rule_to_triangle,
@@ -129,80 +149,110 @@ def _edge_points(v0, v1, nodes):
     return v0[:, None, :] + nodes[None, :, None] * (v1 - v0)[:, None, :]
 
 
-def _scatter_blocks(blocks, row_elems, col_elems, block_size, rows, cols, data):
-    idx = np.arange(block_size)
-    off_r = row_elems * block_size
-    off_c = col_elems * block_size
-    r = off_r[:, None, None] + idx[None, :, None]
-    c = off_c[:, None, None] + idx[None, None, :]
-    rows.append(np.broadcast_to(r, blocks.shape).ravel())
-    cols.append(np.broadcast_to(c, blocks.shape).ravel())
-    data.append(blocks.ravel())
+def _block_triplets(segments, n: int, n_dofs: int, dtype):
+    """COO rows, columns and data of stacked element-pair blocks.
+
+    segments holds (blocks (k, n, n), row elements (k,), column elements
+    (k,)); entry (i, j) of block k sits at row row_elems[k] * n + i and
+    column col_elems[k] * n + j.  The entries follow the segments and each
+    block's C order.  Every array is allocated once; indices are int32
+    while n_dofs < 2**31.
+    """
+    idx_dtype = np.int32 if n_dofs < 2**31 else np.int64
+    total = sum(blocks.size for blocks, _, _ in segments)
+    rows = np.empty(total, dtype=idx_dtype)
+    cols = np.empty(total, dtype=idx_dtype)
+    data = np.empty(total, dtype=dtype)
+    idx = np.arange(n, dtype=idx_dtype)
+    start = 0
+    for blocks, row_elems, col_elems in segments:
+        stop = start + blocks.size
+        off_r = row_elems.astype(idx_dtype) * idx_dtype(n)
+        off_c = col_elems.astype(idx_dtype) * idx_dtype(n)
+        shape = blocks.shape
+        rows[start:stop].reshape(shape)[...] = off_r[:, None, None] + idx[:, None]
+        cols[start:stop].reshape(shape)[...] = off_c[:, None, None] + idx
+        data[start:stop].reshape(shape)[...] = blocks
+        start = stop
+    return rows, cols, data
 
 
-def assemble_sipdg(mesh: Mesh, params: FormParameters) -> sp.csr_matrix:
-    """Assemble the SIPDG matrix A with A[i, j] = a_h(phi_j, phi_i)."""
-    p = params.p
-    n = dim_poly(p)
-    order = min(2 * p + 2, MAX_QUAD_ORDER)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-
-    # volume: (grad u, grad v) - omega^2 (u, v), exact quadrature
-    pts, w = map_rule_to_triangle(quadrature_rule(order), mesh.tri_coords)
-    ev = _monomial_tables(mesh.incenters, mesh.diameters, p, pts)
+def _volume_blocks(mesh: Mesh, params: FormParameters) -> np.ndarray:
+    """(grad u, grad v) - omega^2 (u, v) on every element, exact quadrature."""
+    ev, pts, w = _volume_tables(mesh, params.p)
+    vol = _weighted_gram((ev.gx, ev.gy), w)
     om2 = omega_values(params.omega, pts) ** 2
-    vol = np.einsum("eqid,eqjd,eq->eij", ev.gradients, ev.gradients, w)
     vol -= np.einsum("eqi,eqj,eq->eij", ev.values, ev.values, w * om2)
-    elems = np.arange(mesh.n_elements)
-    _scatter_blocks(vol.astype(complex), elems, elems, n, rows, cols, data)
+    return vol
 
-    edge_rule = edge_quadrature_rule(order)
 
+def _interior_face_blocks(mesh: Mesh, params: FormParameters, edge_rule) -> list:
+    """Consistency, symmetry and penalty terms of every interior face.
+
+    Returns the (test side, trial side) blocks (+, +), (+, -), (-, +) and
+    (-, -) as segments for _block_triplets.
+    """
+    p = params.p
     fa = mesh.interior_faces
     pts_f = _edge_points(fa["v0"], fa["v1"], edge_rule.nodes)
     wf = edge_rule.weights[None, :] * fa["length"][:, None]
-    sides = {}
-    for tag, el in (("+", fa["plus"]), ("-", fa["minus"])):
+    nx = fa["normal"][:, 0, None, None]
+    ny = fa["normal"][:, 1, None, None]
+    owner = {"+": fa["plus"], "-": fa["minus"]}
+    vals, dn = {}, {}
+    for s, el in owner.items():
         evf = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_f)
-        dn = np.einsum("fmnd,fd->fmn", evf.gradients, fa["normal"])
-        sides[tag] = (evf.values, dn)
+        vals[s] = evf.values
+        dn[s] = 0.0 + evf.gx * nx + evf.gy * ny  # einsum's order, from +0.0
+    # cross[s, t] = (vals_s, dn_t)_F; (dn_t, vals_s)_F is its transpose
+    cross = {
+        (s, t): np.einsum("fmi,fmj,fm->fij", vals[s], dn[t], wf)
+        for s in "+-"
+        for t in "+-"
+    }
+    pen = {
+        (s, t): np.einsum("fmi,fmj,fm->fij", vals[s], vals[t], wf)
+        for s, t in (("+", "+"), ("+", "-"), ("-", "-"))
+    }
+    pen["-", "+"] = pen["+", "-"].swapaxes(1, 2)
     sigma = params.alpha * p**2 / interior_face_h(mesh)
     sign = {"+": 1.0, "-": -1.0}
+    segments = []
     for sv in "+-":
-        vals_v, dn_v = sides[sv]
         for su in "+-":
-            vals_u, dn_u = sides[su]
-            blk = -0.5 * sign[sv] * np.einsum("fmi,fmj,fm->fij", vals_v, dn_u, wf)
-            blk += -0.5 * sign[su] * np.einsum("fmi,fmj,fm->fij", dn_v, vals_u, wf)
-            pen = np.einsum("fmi,fmj,fm->fij", vals_v, vals_u, wf)
-            blk += (sign[su] * sign[sv] * sigma)[:, None, None] * pen
-            _scatter_blocks(
-                blk.astype(complex),
-                fa["plus"] if sv == "+" else fa["minus"],
-                fa["plus"] if su == "+" else fa["minus"],
-                n,
-                rows,
-                cols,
-                data,
-            )
+            blk = -0.5 * sign[sv] * cross[sv, su]
+            blk += -0.5 * sign[su] * cross[su, sv].swapaxes(1, 2)
+            blk += (sign[su] * sign[sv] * sigma)[:, None, None] * pen[sv, su]
+            segments.append((blk, owner[sv], owner[su]))
+    return segments
 
-    # boundary: impedance term i (omega u, v)
+
+def _impedance_blocks(mesh: Mesh, params: FormParameters, edge_rule) -> np.ndarray:
+    """i (omega u, v) on every boundary face, complex."""
     fb = mesh.boundary_faces
     pts_b = _edge_points(fb["v0"], fb["v1"], edge_rule.nodes)
     wb = edge_rule.weights[None, :] * fb["length"][:, None]
     el = fb["element"]
-    evb = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_b)
+    evb = _monomial_tables(mesh.incenters[el], mesh.diameters[el], params.p, pts_b)
     om = omega_values(params.omega, pts_b)
-    blk = 1j * np.einsum("fmi,fmj,fm->fij", evb.values, evb.values, wb * om)
-    _scatter_blocks(blk, el, el, n, rows, cols, data)
+    return 1j * np.einsum("fmi,fmj,fm->fij", evb.values, evb.values, wb * om)
 
-    A = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_elements * n, mesh.n_elements * n),
-    )
-    return A.tocsr()
+
+def assemble_sipdg(mesh: Mesh, params: FormParameters) -> sp.csr_matrix:
+    """Assemble the SIPDG matrix A with A[i, j] = a_h(phi_j, phi_i)."""
+    n = dim_poly(params.p)
+    n_dofs = mesh.n_elements * n
+    edge_rule = edge_quadrature_rule(min(2 * params.p + 2, MAX_QUAD_ORDER))
+    elems = np.arange(mesh.n_elements)
+    el_b = mesh.boundary_faces["element"]
+    segments = [
+        (_volume_blocks(mesh, params), elems, elems),
+        *_interior_face_blocks(mesh, params, edge_rule),
+        (_impedance_blocks(mesh, params, edge_rule), el_b, el_b),
+    ]
+    rows, cols, data = _block_triplets(segments, n, n_dofs, complex)
+    del segments  # the real blocks, before scipy's CSR copy
+    return sp.coo_matrix((data, (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
 
 
 def assemble_rhs(

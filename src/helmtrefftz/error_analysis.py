@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dg_assembly import _edge_points, _scatter_blocks, interior_face_h, omega_values
+from .dg_assembly import _block_triplets, _edge_points, interior_face_h, omega_values
 from .exact_solutions import ManufacturedCase
 from .local_trefftz import constraint_matrices
 from .mesh import Mesh
@@ -248,11 +248,7 @@ def _broken_grams(mesh: Mesh, p: int, omega: float):
     n = dim_poly(p)
     total = mesh.n_elements * n
     elements = np.arange(mesh.n_elements)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
     vol = _element_stiffness_grams(mesh, p) + omega**2 * _element_mass_grams(mesh, p)
-    _scatter_blocks(vol, elements, elements, n, rows, cols, data)
 
     # jump terms: the four (plus/minus) x (plus/minus) blocks of every face
     rule = edge_quadrature_rule(min(2 * p + 2, MAX_QUAD_ORDER))
@@ -269,28 +265,26 @@ def _broken_grams(mesh: Mesh, p: int, omega: float):
     )  # (F, 2, M, n)
     sign = np.array([1.0, -1.0])
     weight = (p**2 / interior_face_h(mesh))[:, None, None] * sign[:, None] * sign
-    blk = np.einsum("fsmi,ftmj,fm->fstij", traces, traces, wts)
-    blk *= weight[..., None, None]
-    _scatter_blocks(
-        blk.reshape(-1, n, n),
-        np.repeat(sides, 2, axis=1).ravel(),
-        np.tile(sides, 2).ravel(),
-        n,
-        rows,
-        cols,
-        data,
-    )
+    jump = np.einsum("fsmi,ftmj,fm->fstij", traces, traces, wts)
+    jump *= weight[..., None, None]
 
     fb = mesh.boundary_faces
     pts = _edge_points(fb["v0"], fb["v1"], rule.nodes)
     wts = rule.weights[None, :] * fb["length"][:, None]
     el = fb["element"]
     tr = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts).values
-    blk = omega * np.einsum("fmi,fmj,fm->fij", tr, tr, wts)
-    _scatter_blocks(blk, el, el, n, rows, cols, data)
+    impedance = omega * np.einsum("fmi,fmj,fm->fij", tr, tr, wts)
 
+    rows_of_jump = np.repeat(sides, 2, axis=1).ravel()
+    cols_of_jump = np.tile(sides, 2).ravel()
+    segments = [
+        (vol, elements, elements),
+        (jump.reshape(-1, n, n), rows_of_jump, cols_of_jump),
+        (impedance, el, el),
+    ]
+    rows, cols, data = _block_triplets(segments, n, total, float)
     g_dg = np.zeros((total, total))
-    np.add.at(g_dg, (np.concatenate(rows), np.concatenate(cols)), np.concatenate(data))
+    np.add.at(g_dg, (rows, cols), data)
     _, normal_derivs = _element_boundary_grams(mesh, p)
     extra = (mesh.diameters / p**2)[:, None, None] * normal_derivs
     return g_dg, g_dg + scipy.linalg.block_diag(*extra)

@@ -124,6 +124,10 @@ class RunConfig:
             raise ValueError(
                 f"penalty alpha must be finite and positive, got alpha={self.alpha}"
             )
+        if self.dof_cap < 1:
+            raise ValueError(f"dof_cap must be >= 1, got dof_cap={self.dof_cap}")
+        if self.quad_bump < 0:
+            raise ValueError(f"quad_bump must be >= 0, got quad_bump={self.quad_bump}")
 
 
 def _error_quad_order(p: int, bump: int) -> int:

@@ -21,6 +21,18 @@ Element Gram matrices (mass, gradient, boundary traces and their normal
 derivatives) and bubble spaces are built for a batch of elements in one
 stacked call; an index array selects the batch, all elements by default.
 
+Summation order of the gradient Gram.  The CSV bytes depend on the
+rounding of every Gram entry, so the gradient Gram keeps the order of
+np.einsum("eqid,eqjd,eq->eij", grad, grad, w): at each point the two
+terms (gx_i gx_j) w + (gy_i gy_j) w are added first, then the points
+are added one after another, starting from zero.  _weighted_gram
+reproduces that order on the separate gx and gy tables without
+einsum's two-wide inner loop: it forms the upper triangle i <= j
+only (the products commute, so the mirror is exact), tiles elements
+and points so that no temporary exceeds _GRAM_TILE entries, and adds
+the points in an explicit loop.  np.add.reduce and a matmul would
+sum in another order and move the last bits.
+
 Triangle quadrature uses a collapsed Gauss-Legendre x Gauss-Jacobi
 product rule on the reference triangle: positive weights, exact for any
 requested total degree in the supported range.
@@ -72,10 +84,12 @@ def monomial_exponents(p: int) -> np.ndarray:
 class BasisEval:
     """Basis values and derivatives at a set of points.
 
-    values : (..., n) ; gradients : (..., n, 2) ; laplacians : (..., n)
+    values, gx, gy, laplacians : (..., n) ; gradients : (..., n, 2)
 
-    Each table is gathered from the power tables X**k, Y**k (k = 0..p) on
-    first access and kept, so callers pay only for the tables they read.
+    gx and gy are the two components of the gradient, each C-contiguous;
+    gradients stacks them.  Each table is gathered from the power tables
+    X**k, Y**k (k = 0..p) on first access and kept, so callers pay only
+    for the tables they read.
     """
 
     def __init__(
@@ -102,11 +116,16 @@ class BasisEval:
         return self._xa() * self._yb()
 
     @cached_property
+    def gx(self) -> np.ndarray:
+        return self._a * self._xa(1) * self._yb() * self._inv_h
+
+    @cached_property
+    def gy(self) -> np.ndarray:
+        return self._b * self._xa() * self._yb(1) * self._inv_h
+
+    @cached_property
     def gradients(self) -> np.ndarray:
-        a, b, inv_h = self._a, self._b, self._inv_h
-        gx = a * self._xa(1) * self._yb() * inv_h
-        gy = b * self._xa() * self._yb(1) * inv_h
-        return np.stack([gx, gy], axis=-1)
+        return np.stack([self.gx, self.gy], axis=-1)
 
     @cached_property
     def laplacians(self) -> np.ndarray:
@@ -227,19 +246,66 @@ def bubble_basis(mesh: Mesh, p: int, elements: np.ndarray | None = None) -> np.n
     return coeffs
 
 
-def _volume_tables(mesh: Mesh, p: int, elements) -> tuple[BasisEval, np.ndarray]:
-    """Degree-p tables and weights at the order-(2p+2) rule of the elements."""
+def _volume_tables(
+    mesh: Mesh, p: int, elements=None
+) -> tuple[BasisEval, np.ndarray, np.ndarray]:
+    """Degree-p tables, points and weights at the order-(2p+2) rule of the elements."""
     sel = slice(None) if elements is None else elements
     rule = quadrature_rule(min(2 * p + 2, MAX_QUAD_ORDER))
     pts, w = map_rule_to_triangle(rule, mesh.tri_coords[sel])
-    return _monomial_tables(mesh.incenters[sel], mesh.diameters[sel], p, pts), w
+    ev = _monomial_tables(mesh.incenters[sel], mesh.diameters[sel], p, pts)
+    return ev, pts, w
+
+
+# Largest temporary of _weighted_gram, in float64 entries (512 KB)
+_GRAM_TILE = 1 << 16
+
+
+def _weighted_gram(tables, w: np.ndarray) -> np.ndarray:
+    """G[e, i, j] = sum_q (sum_c t_c[e, q, i] t_c[e, q, j]) w[e, q], (E, n, n).
+
+    tables are (E, Q, n) arrays, one for a mass Gram and (gx, gy) for a
+    gradient Gram; w is (E, Q).  Each point contributes the components'
+    products (t_i t_j) w added in order, and the points are added in
+    order starting from zero: the order of np.einsum("eqi,eqj,eq->eij")
+    and np.einsum("eqid,eqjd,eq->eij"), so the result is bitwise theirs.
+    Only the upper triangle is computed; the mirror copies it.
+    """
+    E, Q, n = tables[0].shape
+    iu, ju = np.triu_indices(n)
+    repeats = n - np.arange(n)  # t[..., iu] repeats column i n - i times
+
+    def products(table, tile):
+        """(t_i t_j) w over the upper triangle, (e, q, pairs)."""
+        t = table[tile]
+        out = np.repeat(t, repeats, axis=-1)
+        out *= np.take(t, ju, axis=-1)
+        out *= w[tile][..., None]
+        return out
+
+    upper = np.zeros((E, len(iu)))
+    et = max(1, _GRAM_TILE // (len(iu) * Q))
+    qt = max(1, min(Q, _GRAM_TILE // (len(iu) * et)))
+    for e0 in range(0, E, et):
+        acc = upper[e0 : e0 + et]
+        for q0 in range(0, Q, qt):
+            tile = np.s_[e0 : e0 + et, q0 : q0 + qt]
+            point_sum = products(tables[0], tile)
+            for table in tables[1:]:
+                point_sum += products(table, tile)
+            for point in point_sum.swapaxes(0, 1):
+                acc += point
+    gram = np.empty((E, n, n))
+    gram[:, iu, ju] = upper
+    gram[:, ju, iu] = upper
+    return gram
 
 
 def _element_mass_grams(
     mesh: Mesh, p: int, elements: np.ndarray | None = None
 ) -> np.ndarray:
     """L2 Gram matrices of the degree-p basis, (E, n, n); all elements by default."""
-    ev, w = _volume_tables(mesh, p, elements)
+    ev, _, w = _volume_tables(mesh, p, elements)
     return np.einsum("eqi,eqj,eq->eij", ev.values, ev.values, w)
 
 
@@ -247,8 +313,8 @@ def _element_stiffness_grams(
     mesh: Mesh, p: int, elements: np.ndarray | None = None
 ) -> np.ndarray:
     """Gradient Gram matrices of the degree-p basis, (E, n, n)."""
-    ev, w = _volume_tables(mesh, p, elements)
-    return np.einsum("eqid,eqjd,eq->eij", ev.gradients, ev.gradients, w)
+    ev, _, w = _volume_tables(mesh, p, elements)
+    return _weighted_gram((ev.gx, ev.gy), w)
 
 
 def _element_boundary_grams(

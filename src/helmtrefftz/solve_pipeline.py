@@ -16,7 +16,8 @@ those blocks once and forms every product with stacked einsum, which
 sums each entry in index order exactly as a sparse matrix product does,
 so the result is bitwise the sparse triple product T^T (A T).  BLAS
 matmul would sum in another order; at p = 12 that moves the round-off
-floor of the errors.
+floor of the errors.  The Grams that assemble A keep einsum's order by
+the same rule (see dg_assembly and polyspace._weighted_gram).
 
 All linear systems use a direct sparse LU factorization, in the mesh's
 nested-dissection order when the mesh is known; a reciprocal condition

@@ -5,9 +5,13 @@ import scipy.sparse as sp
 import sympy
 
 from helmtrefftz import local_trefftz
+from helmtrefftz.dg_assembly import _edge_points, interior_face_h, omega_values
 from helmtrefftz.mesh import build_unit_disk_mesh, cross2, mesh_from_triangulation
 from helmtrefftz.polyspace import (
+    MAX_QUAD_ORDER,
     _monomial_tables,
+    dim_poly,
+    edge_quadrature_rule,
     map_rule_to_triangle,
     quadrature_rule,
 )
@@ -83,6 +87,68 @@ def reference_faces(vertices, triangles):
         arrays(interior, ("plus", "minus")),
         arrays(boundary, ("element",)),
     )
+
+
+def reference_assemble_sipdg(mesh, params):
+    """SIPDG matrix from twelve face einsums and per-block index lists,
+    concatenated in the order volume, faces (+,+), (+,-), (-,+), (-,-),
+    boundary: the reference for the transposed face blocks and the
+    preallocated COO of dg_assembly.assemble_sipdg."""
+    p = params.p
+    n = dim_poly(p)
+    order = min(2 * p + 2, MAX_QUAD_ORDER)
+    rows, cols, data = [], [], []
+
+    def scatter(blocks, row_elems, col_elems):
+        idx = np.arange(n)
+        r = (row_elems * n)[:, None, None] + idx[None, :, None]
+        c = (col_elems * n)[:, None, None] + idx[None, None, :]
+        rows.append(np.broadcast_to(r, blocks.shape).ravel())
+        cols.append(np.broadcast_to(c, blocks.shape).ravel())
+        data.append(blocks.ravel())
+
+    pts, w = map_rule_to_triangle(quadrature_rule(order), mesh.tri_coords)
+    ev = _monomial_tables(mesh.incenters, mesh.diameters, p, pts)
+    om2 = omega_values(params.omega, pts) ** 2
+    vol = np.einsum("eqid,eqjd,eq->eij", ev.gradients, ev.gradients, w)
+    vol -= np.einsum("eqi,eqj,eq->eij", ev.values, ev.values, w * om2)
+    elems = np.arange(mesh.n_elements)
+    scatter(vol.astype(complex), elems, elems)
+
+    edge_rule = edge_quadrature_rule(order)
+    fa = mesh.interior_faces
+    pts_f = _edge_points(fa["v0"], fa["v1"], edge_rule.nodes)
+    wf = edge_rule.weights[None, :] * fa["length"][:, None]
+    sides = {}
+    for tag, el in (("+", fa["plus"]), ("-", fa["minus"])):
+        evf = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_f)
+        dn = np.einsum("fmnd,fd->fmn", evf.gradients, fa["normal"])
+        sides[tag] = (evf.values, dn, el)
+    sigma = params.alpha * p**2 / interior_face_h(mesh)
+    sign = {"+": 1.0, "-": -1.0}
+    for sv in "+-":
+        vals_v, dn_v, el_v = sides[sv]
+        for su in "+-":
+            vals_u, dn_u, el_u = sides[su]
+            blk = -0.5 * sign[sv] * np.einsum("fmi,fmj,fm->fij", vals_v, dn_u, wf)
+            blk += -0.5 * sign[su] * np.einsum("fmi,fmj,fm->fij", dn_v, vals_u, wf)
+            pen = np.einsum("fmi,fmj,fm->fij", vals_v, vals_u, wf)
+            blk += (sign[su] * sign[sv] * sigma)[:, None, None] * pen
+            scatter(blk.astype(complex), el_v, el_u)
+
+    fb = mesh.boundary_faces
+    pts_b = _edge_points(fb["v0"], fb["v1"], edge_rule.nodes)
+    wb = edge_rule.weights[None, :] * fb["length"][:, None]
+    el = fb["element"]
+    evb = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_b)
+    om = omega_values(params.omega, pts_b)
+    scatter(1j * np.einsum("fmi,fmj,fm->fij", evb.values, evb.values, wb * om), el, el)
+
+    A = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mesh.n_elements * n, mesh.n_elements * n),
+    )
+    return A.tocsr()
 
 
 def shuffled_jittered_disk(rings=3, seed=0):

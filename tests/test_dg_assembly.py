@@ -11,7 +11,12 @@ from helmtrefftz.dg_assembly import (
     assemble_sipdg,
     omega_values,
 )
-from helmtrefftz.mesh import build_unit_square_mesh, mesh_from_triangulation
+from helmtrefftz.exact_solutions import var_omega_case
+from helmtrefftz.mesh import (
+    build_unit_disk_mesh,
+    build_unit_square_mesh,
+    mesh_from_triangulation,
+)
 from helmtrefftz.polyspace import (
     dim_poly,
     edge_quadrature_rule,
@@ -19,7 +24,16 @@ from helmtrefftz.polyspace import (
     quadrature_rule,
 )
 from helmtrefftz.solve_pipeline import solve_embedded_trefftz, solve_standard_dg
-from helpers import polynomial_problem, project, refine, residual, zero_f, zero_g
+from helpers import (
+    polynomial_problem,
+    project,
+    reference_assemble_sipdg,
+    refine,
+    residual,
+    shuffled_jittered_disk,
+    zero_f,
+    zero_g,
+)
 
 
 def test_form_parameters_validation():
@@ -100,6 +114,35 @@ def test_single_element_piecewise_constant():
     A = assemble_sipdg(mesh, FormParameters(omega=1.0, p=0)).toarray()
     perimeter = 2.0 + math.sqrt(2.0)
     assert A[0, 0] == pytest.approx(-0.5 + 1j * perimeter, abs=1e-14)
+
+
+BITWISE_CASES = {
+    "square4-p12": (lambda: build_unit_square_mesh(4), 1.0, 12),
+    "square4-p5-varomega": (
+        lambda: build_unit_square_mesh(4),
+        var_omega_case().omega,
+        5,
+    ),
+    "shuffled-disk3-p3": (lambda: shuffled_jittered_disk(3, seed=7), 7.0, 3),
+    "disk1-p0": (lambda: build_unit_disk_mesh(1), 3.0, 0),
+    "disk1-p2": (lambda: build_unit_disk_mesh(1), 3.0, 2),
+    "square1-p1": (lambda: build_unit_square_mesh(1), 3.0, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BITWISE_CASES))
+def test_sipdg_matrix_bitwise_reference(case):
+    # the transposed face blocks, the gradient Gram and the preallocated
+    # COO keep every bit of the twelve-einsum, list-built matrix
+    make_mesh, omega, p = BITWISE_CASES[case]
+    mesh = make_mesh()
+    params = FormParameters(omega=omega, p=p)
+    A = assemble_sipdg(mesh, params)
+    R = reference_assemble_sipdg(mesh, params)
+    assert A.shape == R.shape and A.data.dtype == R.data.dtype
+    assert np.array_equal(A.indptr, R.indptr)
+    assert np.array_equal(A.indices, R.indices)
+    assert np.array_equal(A.data.view(np.int64), R.data.view(np.int64))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -113,6 +113,21 @@ def test_config_validation():
         RunConfig(experiment="hankel", alpha=float("nan"))
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("quad_bump", -1), ("quad_bump", -20), ("dof_cap", 0), ("dof_cap", -1)],
+)
+def test_config_rejects_bad_bump_and_cap(field, value):
+    # rejected before any rung is solved, naming the field
+    with pytest.raises(ValueError, match=field):
+        RunConfig(experiment="sinsin", degrees=(2,), **{field: value})
+
+
+def test_config_accepts_smallest_bump_and_cap():
+    config = RunConfig(experiment="sinsin", quad_bump=0, dof_cap=1)
+    assert (config.quad_bump, config.dof_cap) == (0, 1)
+
+
 def test_dof_budget_refusal():
     with pytest.raises(ValueError, match="cap"):
         run_experiment(
@@ -198,6 +213,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         ("--omega", "nan", "omegas"),
         ("--omega", "-3", "omegas"),
         ("--alpha", "nan", "alpha"),
+        ("--quad-bump", "-8", "quad_bump"),
+        ("--dof-cap", "-1", "dof_cap"),
     ],
 )
 def test_cli_rejects_bad_parameters(tmp_path, capsys, option, value, field):

@@ -9,12 +9,15 @@ from helmtrefftz.mesh import (
     build_unit_square_mesh,
     mesh_from_triangulation,
 )
+from helmtrefftz import polyspace
 from helmtrefftz.polyspace import (
     MAX_QUAD_ORDER,
     _element_boundary_grams,
     _element_mass_grams,
     _element_stiffness_grams,
     _monomial_tables,
+    _volume_tables,
+    _weighted_gram,
     bubble_basis,
     dim_poly,
     edge_quadrature_rule,
@@ -255,6 +258,36 @@ def test_element_grams_of_selected_elements_bitwise(p):
         assert np.array_equal(build(mesh, p, picked), everything[picked])
         for k in picked:
             assert np.array_equal(build(mesh, p, np.array([k]))[0], everything[k])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("p", range(15))
+def test_weighted_gram_bitwise_einsum(p, monkeypatch):
+    # the einsum summation order, hence every CSV byte: per point the
+    # component products, then the points in order from zero
+    ev, _, w = _volume_tables(DISK, p)  # 24 elements
+    for table in (ev.gx, ev.gy):
+        assert table.flags.c_contiguous
+    assert np.array_equal(ev.gradients, np.stack([ev.gx, ev.gy], axis=-1))
+    n_pairs = dim_poly(p) * (dim_poly(p) + 1) // 2
+    n_points = w.shape[1]
+    tiles = (
+        polyspace._GRAM_TILE,
+        5 * n_pairs * n_points,  # 5-element tiles: 24 = 4 * 5 + 4
+        3 * n_pairs,  # one element, 3 points per tile
+    )
+    for cut in (np.s_[:, :], np.s_[:1, :], np.s_[:, :1]):  # all, E=1, Q=1
+        values, gx, gy = ev.values[cut], ev.gx[cut], ev.gy[cut]
+        grads = ev.gradients[cut]
+        mass = np.einsum("eqi,eqj,eq->eij", values, values, w[cut])
+        stiffness = np.einsum("eqid,eqjd,eq->eij", grads, grads, w[cut])
+        for tile in tiles:
+            monkeypatch.setattr(polyspace, "_GRAM_TILE", tile)
+            assert same_bits(_weighted_gram((values,), w[cut]), mass)
+            assert same_bits(_weighted_gram((gx, gy), w[cut]), stiffness)
 
 
 @pytest.mark.parametrize("p,size", [(0, 0), (1, 0), (2, 1), (3, 3), (5, 10)])
