@@ -40,7 +40,6 @@ from .solve_pipeline import (
     SingularSystemError,
     SolutionField,
     _direct_solve,
-    _element_block_ordering,
     build_global_embedding,
     embedding_preconditioner,
     mass_preconditioner,
@@ -151,8 +150,8 @@ def _solve_both_methods(mesh, params, case, methods, context):
                     A,
                     b,
                     context=f"{context}, {method}",
-                    precond=mass_preconditioner(mass_grams),
-                    ordering=_element_block_ordering(mesh, params.p),
+                    bases=[mass_preconditioner(mass_grams)],
+                    order=mesh.dissection_order,
                 )
                 dofs = A.shape[0]
             else:

@@ -12,24 +12,27 @@ preconditioners that make each element basis L2-orthonormal) is block
 diagonal with one real block per element, kept as a stacked array.  The
 matrix that is factored is therefore the block congruence T_r^T A_rc T_c
 over the nonzero element-pair blocks A_rc of A: _block_congruence reads
-those blocks once and forms every product with stacked einsum, which
-sums each entry in index order exactly as a sparse matrix product does,
-so the result is bitwise the sparse triple product T^T (A T).  BLAS
-matmul would sum in another order; at p = 12 that moves the round-off
-floor of the errors.  The Grams that assemble A keep einsum's order by
-the same rule (see dg_assembly and polyspace._weighted_gram).
+those blocks once, a tile at a time, and forms every product with
+stacked einsum, which sums each entry in index order exactly as a sparse
+matrix product does, so the result is bitwise the sparse triple product
+T^T (A T).  BLAS matmul would sum in another order; at p = 12 that moves
+the round-off floor of the errors.  The Grams that assemble A keep
+einsum's order by the same rule (see dg_assembly and
+polyspace._weighted_gram).
 
 All linear systems use a direct sparse LU factorization, in the mesh's
-nested-dissection order when the mesh is known; a reciprocal condition
-estimate below 1e-13 raises SingularSystemError, which signals a mesh
-too coarse for the requested wavenumber.
+nested-dissection order when the mesh is known: the congruence writes
+each tile straight to its place in that order, into the CSC arrays that
+SuperLU factors, and only the COLAMD fallback rebuilds the natural order.
+A reciprocal condition estimate below 1e-13 raises SingularSystemError,
+which signals a mesh too coarse for the requested wavenumber.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -186,39 +189,77 @@ def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
     return out
 
 
+_CONGRUENCE_TILE = 1 << 16  # entries of each stage temporary of one tile
+
+
 def _block_congruence(
-    A: sp.spmatrix, bases: list[np.ndarray], sizes: np.ndarray
+    A: sp.spmatrix, bases: Sequence[np.ndarray], sizes: np.ndarray, order: np.ndarray
 ) -> sp.csc_matrix:
     """T^T A T for the block-diagonal T = bases[0] bases[1] ..., as CSC.
 
-    A consists of n x n element-pair blocks, n = bases[0].shape[1]; each
-    basis is stacked real blocks (E, rows, columns), zero-padded, and
+    A consists of n x n element-pair blocks, n = A.shape[0] / len(sizes);
+    each basis is stacked real blocks (E, rows, columns), zero-padded, and
     sizes[k] is the number of columns of element k after the last one.
-    The stages run in order, each as (T_r^T (A_rc T_c)) on every nonzero
-    block of A, with the real and imaginary parts apart.  einsum with
-    the summed index outside its inner loop adds the terms of every entry
-    in index order, so the values, the pattern (exact zeros dropped) and
-    the sorted indices equal those of the sparse product T^T (A T).
+    Element order[i] owns the i-th block row and column of the result, so
+    order = arange(E) gives T^T A T itself and the mesh's dissection order
+    gives it permuted to that order.
+
+    A's nonzero blocks stream through in tiles of at most _CONGRUENCE_TILE
+    entries per stage temporary.  The stages run in order, each as
+    (T_r^T (A_rc T_c)) on every block of the tile, with the real and
+    imaginary parts apart; einsum with the summed index outside its inner
+    loop adds the terms of every entry in index order, so the values
+    equal those of the sparse product T^T (A T).  Each tile is written
+    straight to its place in CSC arrays allocated once, with the row
+    indices sorted within each column and exact zeros dropped.
     """
-    n = bases[0].shape[1]
-    bsr = A.tobsr(blocksize=(n, n))
-    rows = np.repeat(np.arange(len(bsr.indptr) - 1), np.diff(bsr.indptr))
+    n = A.shape[0] // len(sizes)
+    bsr = A.tobsr(blocksize=(n, n))  # the tiles read A's blocks from it
+    rows = np.repeat(np.arange(len(sizes)), np.diff(bsr.indptr))
     cols = bsr.indices
-    parts = [np.ascontiguousarray(bsr.data.real), np.ascontiguousarray(bsr.data.imag)]
-    del bsr  # its complex copy of A would raise the peak memory
-    for T in bases:
-        left = np.ascontiguousarray(T.swapaxes(1, 2))[rows]
-        right = T[cols]
-        parts = [
-            np.einsum("bij,bjk->bik", left, np.einsum("bij,bjk->bik", D, right))
-            for D in parts
-        ]
-    idx = np.arange(parts[0].shape[1])
-    keep = (idx[:, None] < sizes[rows, None, None]) & (idx < sizes[cols, None, None])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    r = np.broadcast_to(offsets[rows, None, None] + idx[:, None], keep.shape)[keep]
-    c = np.broadcast_to(offsets[cols, None, None] + idx, keep.shape)[keep]
-    M = sp.csc_matrix((_complex(*parts)[keep], (r, c)), shape=(offsets[-1],) * 2)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # entries per column of each block column, and the first row and
+    # column of every element in the result
+    counts = np.bincount(cols, sizes[rows], len(sizes)).astype(np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes[order])])[rank]
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(counts[order], sizes[order]))])
+    # first data slot of every block: the start of its block column plus
+    # the rows of the blocks above it in that column
+    by_column = np.lexsort((rank[rows], rank[cols]))
+    heights = sizes[rows[by_column]]
+    column_starts = (np.cumsum(counts[order]) - counts[order])[rank[cols[by_column]]]
+    first = np.empty_like(heights)
+    first[by_column] = np.cumsum(heights) - heights - column_starts
+    first += indptr[offsets[cols]]
+    index_dtype = np.int32 if indptr[-1] < np.iinfo(np.int32).max else np.int64
+    data = np.empty(indptr[-1], dtype=complex)
+    indices = np.empty(indptr[-1], dtype=index_dtype)
+    transposed = [np.ascontiguousarray(T.swapaxes(1, 2)) for T in bases]
+    idx = np.arange(bases[-1].shape[2] if bases else n)
+    step = max(1, _CONGRUENCE_TILE // (n * n))
+    for t in range(0, len(cols), step):
+        r, c = rows[t : t + step], cols[t : t + step]
+        blocks = bsr.data[t : t + step]
+        parts = [np.ascontiguousarray(blocks.real), np.ascontiguousarray(blocks.imag)]
+        for T, T_t in zip(bases, transposed):
+            left, right = T_t[r], T[c]
+            parts = [
+                np.einsum("bij,bjk->bik", left, np.einsum("bij,bjk->bik", D, right))
+                for D in parts
+            ]
+        keep = (idx[:, None] < sizes[r, None, None]) & (idx < sizes[c, None, None])
+        slots = idx[:, None] + idx * counts[c, None, None]
+        slots = (first[t : t + step, None, None] + slots)[keep]
+        data.real[slots] = parts[0][keep]
+        data.imag[slots] = parts[1][keep]
+        indices[slots] = np.broadcast_to(
+            offsets[r, None, None] + idx[:, None], keep.shape
+        )[keep]
+    M = sp.csc_matrix(
+        (data, indices, indptr.astype(index_dtype)), shape=(indptr.size - 1,) * 2
+    )
+    M.has_sorted_indices = True
     M.eliminate_zeros()
     return M
 
@@ -242,7 +283,7 @@ def _basis_transpose_apply(
 
 def _basis_apply(bases: list[np.ndarray], y: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """T y for T as in _block_congruence; bitwise the sparse product."""
-    width = bases[-1].shape[2]
+    width = bases[-1].shape[2] if bases else 1
     v = np.zeros((len(sizes), width), dtype=complex)
     v[np.arange(width) < sizes[:, None]] = y
     for T in reversed(bases):
@@ -250,14 +291,21 @@ def _basis_apply(bases: list[np.ndarray], y: np.ndarray, sizes: np.ndarray) -> n
     return v.ravel()
 
 
-def _estimate_sigma_max(A: sp.spmatrix, iterations: int = 8) -> float:
+def _estimate_sigma_max(
+    A: sp.spmatrix, ordering: np.ndarray | None = None, iterations: int = 8
+) -> float:
+    """Power estimate of ||A||_2; A^H w is formed as conj(A^T conj(w)),
+    without a conjugated copy of A.  Given the ordering that A is in, the
+    start vector is permuted with it, so the estimate is that of the
+    natural-order matrix up to the rounding of the sums."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
-    AH = A.conj().T
+    if ordering is not None:
+        v = v[ordering]
     lam = 0.0
     for _ in range(iterations):
-        w = AH @ (A @ v)
+        w = (A.T @ (A @ v).conj()).conj()
         lam = np.linalg.norm(w)
         if lam == 0.0:
             return 0.0
@@ -279,21 +327,14 @@ def _estimate_sigma_min(lu, size: int, iterations: int = 8) -> float:
     return float(1.0 / np.sqrt(lam))
 
 
-def _dissection_ordering(mesh: Mesh, block_offsets: np.ndarray) -> np.ndarray:
-    """Dof permutation that keeps element blocks whole, in the mesh's ND order.
+def _block_ordering(order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Dof permutation that keeps element blocks whole, in element order.
 
-    block_offsets[k] is the first dof of element k (length n_elements + 1).
+    sizes[k] is the number of dofs of element k.
     """
-    order = mesh.dissection_order
-    sizes = np.diff(block_offsets)[order]
-    starts = np.asarray(block_offsets[:-1])[order]
-    first = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    return np.repeat(starts - first, sizes) + np.arange(sizes.sum())
-
-
-def _element_block_ordering(mesh: Mesh, p: int) -> np.ndarray:
-    """_dissection_ordering of the full broken space, dim P^p dofs per element."""
-    return _dissection_ordering(mesh, dim_poly(p) * np.arange(mesh.n_elements + 1))
+    starts = (np.cumsum(sizes) - sizes)[order]
+    first = np.cumsum(sizes[order]) - sizes[order]
+    return np.repeat(starts - first, sizes[order]) + np.arange(sizes.sum())
 
 
 def _guarded_lu_solve(
@@ -329,34 +370,44 @@ def _direct_solve(
     A: sp.spmatrix,
     b: np.ndarray,
     context: str,
-    precond: np.ndarray | None = None,
-    ordering: np.ndarray | None = None,
+    bases: Sequence[np.ndarray] = (),
+    sizes: np.ndarray | None = None,
+    order: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sparse direct solve guarded by a reciprocal condition estimate.
 
-    With precond, the stacked blocks T_k (E, n, n) of a block-diagonal
-    basis change over A's n x n element blocks (see mass_preconditioner),
-    T^T A T y = T^T b is solved and T y returned.
+    Solves T^T A T y = T^T b and returns T y, for the block-diagonal basis
+    change T = bases[0] bases[1] ... over A's element blocks (see
+    _block_congruence, mass_preconditioner, embedding_preconditioner);
+    sizes[k] is the number of columns of element k, by default all of
+    the last basis.  Without bases every dof is an element of its own
+    and T = I.
 
-    Given a fill-reducing dof ordering (from the mesh, see
-    _dissection_ordering), the matrix is factored in that order with
-    diagonal pivots.  Without one, or when that factorization fails,
-    trips the guard or leaves a refined backward error above
-    REFINED_BACKWARD_ERROR, SuperLU's COLAMD ordering with partial
-    pivoting is used, and only its guard raises SingularSystemError.
+    Given an element order (the mesh's dissection order), T^T A T is
+    streamed in that order and factored as it is, with diagonal pivots.
+    Without one, or when that factorization fails, trips the guard or
+    leaves a refined backward error above REFINED_BACKWARD_ERROR, SuperLU
+    factors the natural-order matrix with its COLAMD ordering and partial
+    pivoting; only that guard raises SingularSystemError.  Only this
+    fallback rebuilds the natural order, by permuting the ordered matrix.
     """
-    if precond is not None:
-        sizes = np.full(len(precond), precond.shape[2])
-        A = _block_congruence(A, [precond], sizes)
-        b = _basis_transpose_apply([precond], b, sizes)
-    A_csc = sp.csc_matrix(A, dtype=complex)
-    rhs = np.asarray(b, dtype=complex)
-    sigma_max = _estimate_sigma_max(A_csc)
+    if sizes is None and bases:
+        sizes = np.full(len(bases[-1]), bases[-1].shape[2])
+    elif sizes is None:
+        sizes = np.ones(A.shape[0], dtype=int)
+    if order is None:
+        ordering = None
+        M = _block_congruence(A, bases, sizes, np.arange(len(sizes)))
+    else:
+        ordering = _block_ordering(order, sizes)
+        M = _block_congruence(A, bases, sizes, order)
+    rhs = _basis_transpose_apply(bases, b, sizes)
+    sigma_max = _estimate_sigma_max(M, ordering)
     x = None
     if ordering is not None:
         try:
             y, _, backward = _guarded_lu_solve(
-                sp.csc_matrix(A_csc[ordering][:, ordering]),
+                M,
                 rhs[ordering],
                 sigma_max,
                 permc_spec="NATURAL",
@@ -368,9 +419,14 @@ def _direct_solve(
         if y is not None and backward <= REFINED_BACKWARD_ERROR:
             x = np.empty_like(y)
             x[ordering] = y
+        else:
+            inverse = np.empty_like(ordering)
+            inverse[ordering] = np.arange(len(ordering))
+            M = sp.csc_matrix(M[inverse][:, inverse])
+            M.sort_indices()
     if x is None:
         try:
-            x, sigma_min, _ = _guarded_lu_solve(A_csc, rhs, sigma_max)
+            x, sigma_min, _ = _guarded_lu_solve(M, rhs, sigma_max)
         except RuntimeError as exc:
             raise SingularSystemError(
                 0.0, f"singular matrix ({context}): {exc}"
@@ -382,9 +438,7 @@ def _direct_solve(
                 f"rcond~{sigma_min / sigma_max:.3e}; the mesh is likely too coarse "
                 "for this wavenumber",
             )
-    if precond is not None:
-        x = _basis_apply([precond], x, sizes)
-    return x
+    return _basis_apply(bases, x, sizes)
 
 
 def solve_reduced_system(
@@ -404,14 +458,10 @@ def solve_reduced_system(
     dissection order.
     """
     bases = [embedding.blocks] if precond is None else [embedding.blocks, precond]
+    order = None if mesh is None else mesh.dissection_order
     dims = np.diff(embedding.column_offsets)
-    A_reduced = _block_congruence(A, bases, dims)
-    b_reduced = _basis_transpose_apply(bases, b - A @ u_particular, dims)
-    ordering = None
-    if mesh is not None:
-        ordering = _dissection_ordering(mesh, embedding.column_offsets)
-    y = _direct_solve(A_reduced, b_reduced, context, ordering=ordering)
-    return _basis_apply(bases, y, dims) + u_particular
+    u_trefftz = _direct_solve(A, b - A @ u_particular, context, bases, dims, order)
+    return u_trefftz + u_particular
 
 
 def solve_embedded_trefftz(
@@ -456,8 +506,8 @@ def solve_standard_dg(
         A,
         b,
         context=f"standard, p={params.p}, h={mesh.max_diameter:.4g}",
-        precond=mass_preconditioner(_element_mass_grams(mesh, params.p)),
-        ordering=_element_block_ordering(mesh, params.p),
+        bases=[mass_preconditioner(_element_mass_grams(mesh, params.p))],
+        order=mesh.dissection_order,
     )
     return SolutionField(coeffs, params.p, mesh, "standard-dg")
 

@@ -151,6 +151,34 @@ def reference_assemble_sipdg(mesh, params):
     return A.tocsr()
 
 
+def reference_block_congruence(A, bases, sizes):
+    """T^T A T in the natural element order, from all of A's element blocks
+    at once and a COO scatter: the reference for the streamed, ordered
+    solve_pipeline._block_congruence."""
+    n = bases[0].shape[1]
+    bsr = A.tobsr(blocksize=(n, n))
+    rows = np.repeat(np.arange(len(bsr.indptr) - 1), np.diff(bsr.indptr))
+    cols = bsr.indices
+    parts = [np.ascontiguousarray(bsr.data.real), np.ascontiguousarray(bsr.data.imag)]
+    for T in bases:
+        left = np.ascontiguousarray(T.swapaxes(1, 2))[rows]
+        right = T[cols]
+        parts = [
+            np.einsum("bij,bjk->bik", left, np.einsum("bij,bjk->bik", D, right))
+            for D in parts
+        ]
+    idx = np.arange(parts[0].shape[1])
+    keep = (idx[:, None] < sizes[rows, None, None]) & (idx < sizes[cols, None, None])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    r = np.broadcast_to(offsets[rows, None, None] + idx[:, None], keep.shape)[keep]
+    c = np.broadcast_to(offsets[cols, None, None] + idx, keep.shape)[keep]
+    values = np.empty(keep.shape, dtype=complex)
+    values.real, values.imag = parts
+    M = sp.csc_matrix((values[keep], (r, c)), shape=(offsets[-1],) * 2)
+    M.eliminate_zeros()
+    return M
+
+
 def shuffled_jittered_disk(rings=3, seed=0):
     """Unit-disk triangulation with permuted triangles and vertex labels,
     each triangle's vertices rotated cyclically and the interior vertices

@@ -6,10 +6,11 @@ Run with `pytest -s tests/test_acceptance.py` to see the summary lines.
 
 The large-wavenumber threshold trend walks the planewave ladder at
 omega=100 up to 128 rings: its p=2 crossings need direct solves of up to
-491,520 dofs.  With the mesh's nested-dissection ordering that walk takes
-about 12 minutes and peaks near 3.9 GB of RSS on a 2-core machine.  On a
-smaller host, lower HELMTREFFTZ_PLANEWAVE_DOF_CAP (default 600000); the
-criterion then fails, naming the degrees whose crossing the cap cut off.
+491,520 dofs.  With the mesh's nested-dissection ordering a whole Tier-1
+run, that walk included, takes about 8.5 minutes and peaks near 3.2 GB of
+RSS on a 2-core machine.  On a smaller host, lower
+HELMTREFFTZ_PLANEWAVE_DOF_CAP (default 600000); the criterion then fails,
+naming the degrees whose crossing the cap cut off.
 
 The criteria that read an experiment sweep are marked ``slow``;
 ``pytest -m "not slow"`` runs everything else.

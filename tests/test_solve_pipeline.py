@@ -1,10 +1,14 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helmtrefftz import solve_pipeline
 from helmtrefftz.dg_assembly import FormParameters, assemble_rhs, assemble_sipdg
 from helmtrefftz.exact_solutions import plane_wave_case
 from helmtrefftz.local_trefftz import (
@@ -19,8 +23,9 @@ from helmtrefftz.solve_pipeline import (
     _basis_apply,
     _basis_transpose_apply,
     _block_congruence,
+    _block_ordering,
     _direct_solve,
-    _element_block_ordering,
+    _estimate_sigma_max,
     build_global_embedding,
     embedding_preconditioner,
     mass_preconditioner,
@@ -35,8 +40,10 @@ from helpers import (
     embedding_matrix,
     polynomial_problem,
     project,
+    reference_block_congruence,
     refine,
     residual,
+    shuffled_jittered_disk,
     zero_constraints,
     zero_f,
     zero_g,
@@ -157,6 +164,21 @@ def test_embedding_preconditioner_orthonormalizes(zeroed, monkeypatch):
     assert np.abs(gram - np.eye(emb.n_columns)).max() <= 1e-10
 
 
+def _standard_case(mesh, p, omega):
+    A = assemble_sipdg(mesh, FormParameters(omega=omega, p=p))
+    sizes = np.full(mesh.n_elements, dim_poly(p))
+    return A, [mass_preconditioner(_element_mass_grams(mesh, p))], sizes
+
+
+def _embedded_case(mesh, p, omega):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KernelDimensionWarning)
+        emb = build_global_embedding(all_local_trefftz(mesh, p, omega))
+    A = assemble_sipdg(mesh, FormParameters(omega=omega, p=p))
+    Q = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
+    return A, [emb.blocks, Q], np.diff(emb.column_offsets)
+
+
 def _assert_bitwise_sparse_products(A, bases, sizes, sparse_bases):
     """The block congruence and basis maps against the sparse products.
 
@@ -168,7 +190,7 @@ def _assert_bitwise_sparse_products(A, bases, sizes, sparse_bases):
         reference = T.T @ (reference @ T)
     reference = sp.csc_matrix(reference, dtype=complex)
     reference.sort_indices()
-    M = _block_congruence(A, bases, sizes)
+    M = _block_congruence(A, bases, sizes, np.arange(len(sizes)))
     assert M.has_sorted_indices
     assert np.array_equal(M.indptr, reference.indptr)
     assert np.array_equal(M.indices, reference.indices)
@@ -193,11 +215,9 @@ def _assert_bitwise_sparse_products(A, bases, sizes, sparse_bases):
 )
 def test_block_congruence_bitwise_standard(mesh, p, omega):
     # P^T A P of the standard solve, P the mass whiteners
-    A = assemble_sipdg(mesh, FormParameters(omega=omega, p=p))
-    blocks = mass_preconditioner(_element_mass_grams(mesh, p))
-    sizes = np.full(mesh.n_elements, dim_poly(p))
-    P = block_diag_matrix(blocks, sizes, sizes)
-    _assert_bitwise_sparse_products(A, [blocks], sizes, [P])
+    A, bases, sizes = _standard_case(mesh, p, omega)
+    P = block_diag_matrix(bases[0], sizes, sizes)
+    _assert_bitwise_sparse_products(A, bases, sizes, [P])
 
 
 @pytest.mark.parametrize("p", [4, 8])
@@ -215,6 +235,106 @@ def test_block_congruence_bitwise_embedded(p, monkeypatch):
     Q = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
     sparse = [embedding_matrix(emb), block_diag_matrix(Q, dims, dims)]
     _assert_bitwise_sparse_products(A, [emb.blocks, Q], dims, sparse)
+
+
+def _assert_ordered_congruence(A, bases, sizes, order):
+    """The streamed congruence in element order against the former route:
+    the natural congruence, permuted to that order, indices sorted."""
+    ordering = _block_ordering(order, sizes)
+    reference = reference_block_congruence(A, bases, sizes)
+    expected = sp.csc_matrix(reference[ordering][:, ordering])
+    expected.sort_indices()
+    M = _block_congruence(A, bases, sizes, order)
+    assert M.has_sorted_indices
+    assert np.array_equal(M.indptr, expected.indptr)
+    assert np.array_equal(M.indices, expected.indices)
+    assert np.array_equal(M.data, expected.data)
+    return M
+
+
+@pytest.mark.parametrize("tile", ["default", "one-block", "uneven"])
+@pytest.mark.parametrize(
+    "case",
+    ["disk-p3", "square-p12", "ragged-p4", "ragged-p8", "shuffled-disk"],
+)
+def test_ordered_block_congruence_bitwise(case, tile, monkeypatch):
+    # every tiling writes the matrix of the former one-shot congruence
+    # permuted to the mesh's dissection order, entry for entry
+    if case == "disk-p3":
+        mesh = build_unit_disk_mesh(3)
+        A, bases, sizes = _standard_case(mesh, 3, 20.0)
+    elif case == "square-p12":
+        mesh = build_unit_square_mesh(4)
+        A, bases, sizes = _standard_case(mesh, 12, 1.0)
+    elif case == "shuffled-disk":
+        mesh = shuffled_jittered_disk(3, seed=7)
+        A, bases, sizes = _standard_case(mesh, 3, 20.0)
+    else:
+        mesh = build_unit_square_mesh(2)
+        zero_constraints(monkeypatch, elements=[3])
+        A, bases, sizes = _embedded_case(mesh, int(case[-1]), 2.0)
+        assert len(set(sizes)) == 2
+    n = bases[0].shape[1]
+    n_blocks = A.tobsr(blocksize=(n, n)).nnz // (n * n)
+    if tile == "one-block":
+        monkeypatch.setattr(solve_pipeline, "_CONGRUENCE_TILE", 1)
+    elif tile == "uneven":
+        per_tile = next(k for k in range(2, n_blocks) if n_blocks % k)
+        monkeypatch.setattr(solve_pipeline, "_CONGRUENCE_TILE", per_tile * n * n)
+    _assert_ordered_congruence(A, bases, sizes, mesh.dissection_order)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**16), p=st.integers(2, 4))
+def test_ordered_reduced_matrix_on_shuffled_disks(seed, p):
+    # on perturbed, relabelled meshes the ordered Q^T (E^T A E) Q is the
+    # permuted natural one and complex symmetric
+    mesh = shuffled_jittered_disk(2, seed=seed)
+    A, bases, sizes = _embedded_case(mesh, p, 3.0)
+    M = _assert_ordered_congruence(A, bases, sizes, mesh.dissection_order)
+    assert spla.norm(M - M.T) <= 1e-12 * spla.norm(M)
+
+
+def test_sigma_max_estimate_without_adjoint_copy():
+    # conj(A^T conj(w)) is bitwise A^H w, so the estimate is unchanged;
+    # in another dof order it moves only by the rounding of the sums
+    rng = np.random.default_rng(5)
+    A = sp.random(300, 300, density=0.05, format="csc", random_state=rng)
+    A = A + 1j * sp.random(300, 300, density=0.05, format="csc", random_state=rng)
+    A = sp.csc_matrix(A + 4.0 * sp.identity(300))
+    w = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    assert np.array_equal((A.T @ w.conj()).conj(), A.conj().T @ w)
+
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    v /= np.linalg.norm(v)
+    AH = A.conj().T
+    for _ in range(8):
+        w = AH @ (A @ v)
+        lam = np.linalg.norm(w)
+        v = w / lam
+    assert _estimate_sigma_max(A) == np.sqrt(lam)
+
+    ordering = np.random.default_rng(6).permutation(300)
+    permuted = sp.csc_matrix(A[ordering][:, ordering])
+    sigma = _estimate_sigma_max(permuted, ordering)
+    assert abs(sigma - np.sqrt(lam)) <= 1e-12 * np.sqrt(lam)
+
+
+def test_block_congruence_memory():
+    # the streamed congruence holds at most three times its result at
+    # once (the one-shot congruence held 4.6 times)
+    mesh = build_unit_square_mesh(4)
+    A, bases, sizes = _standard_case(mesh, 12, 1.0)
+    order = mesh.dissection_order
+    tracemalloc.start()
+    try:
+        M = _block_congruence(A, bases, sizes, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    assert peak <= 3 * result
 
 
 def test_two_step_equivalence():
@@ -292,13 +412,14 @@ def test_near_singular_matrix_reported():
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """Record (permc_spec, nnz(L+U)) of every SuperLU factorization."""
+    """Record (permc_spec, nnz(L+U), matrix) of every SuperLU factorization."""
     calls = []
     splu = spla.splu
 
-    def spy(*args, **kwargs):
-        lu = splu(*args, **kwargs)
-        calls.append((kwargs.get("permc_spec", "COLAMD"), lu.nnz))
+    def spy(A, *args, **kwargs):
+        matrix = A.copy()
+        lu = splu(A, *args, **kwargs)
+        calls.append((kwargs.get("permc_spec", "COLAMD"), lu.nnz, matrix))
         return lu
 
     monkeypatch.setattr(spla, "splu", spy)
@@ -317,9 +438,9 @@ def test_dissection_ordering_matches_colamd(method, splu_calls):
     if method == "standard":
         precond = mass_preconditioner(_element_mass_grams(mesh, p))
         ordered = _direct_solve(
-            A, b, "test", precond=precond, ordering=_element_block_ordering(mesh, p)
+            A, b, "test", bases=[precond], order=mesh.dissection_order
         )
-        reference = _direct_solve(A, b, "test", precond=precond)
+        reference = _direct_solve(A, b, "test", bases=[precond])
     else:
         local = all_local_trefftz(mesh, p, omega)
         emb = build_global_embedding(local)
@@ -328,9 +449,36 @@ def test_dissection_ordering_matches_colamd(method, splu_calls):
         ordered = solve_reduced_system(A, b, emb, u_f, precond=precond, mesh=mesh)
         reference = solve_reduced_system(A, b, emb, u_f, precond=precond)
     assert np.linalg.norm(ordered - reference) <= 1e-10 * np.linalg.norm(reference)
-    (nd, nd_fill), (colamd, colamd_fill) = splu_calls
+    (nd, nd_fill, _), (colamd, colamd_fill, _) = splu_calls
     assert (nd, colamd) == ("NATURAL", "COLAMD")
     assert nd_fill < colamd_fill
+
+
+@pytest.mark.parametrize("method", ["standard", "embedded"])
+def test_fallback_factors_the_natural_order_matrix(method, splu_calls, monkeypatch):
+    # a rejected dissection-order solve falls back to COLAMD on the
+    # natural-order matrix, rebuilt from the ordered one bit for bit, and
+    # returns the solution of the solve without a mesh order
+    monkeypatch.setattr(solve_pipeline, "REFINED_BACKWARD_ERROR", -1.0)
+    mesh = build_unit_disk_mesh(3)
+    p, omega = 3, 20.0
+    case = plane_wave_case(omega)
+    if method == "standard":
+        A, bases, sizes = _standard_case(mesh, p, omega)
+    else:
+        A, bases, sizes = _embedded_case(mesh, p, omega)
+    b = assemble_rhs(mesh, FormParameters(omega=omega, p=p), case.f, case.g)
+    x = _direct_solve(A, b, "test", bases, sizes, order=mesh.dissection_order)
+    reference = _direct_solve(A, b, "test", bases, sizes)
+    assert [spec for spec, *_ in splu_calls] == ["NATURAL", "COLAMD", "COLAMD"]
+    natural = reference_block_congruence(A, bases, sizes)
+    natural.sort_indices()
+    colamd = splu_calls[1][2]
+    colamd.sort_indices()
+    assert np.array_equal(colamd.indptr, natural.indptr)
+    assert np.array_equal(colamd.indices, natural.indices)
+    assert np.array_equal(colamd.data, natural.data)
+    assert np.array_equal(x, reference)
 
 
 def test_unpivoted_breakdown_falls_back_to_partial_pivoting(splu_calls):
@@ -343,6 +491,6 @@ def test_unpivoted_breakdown_falls_back_to_partial_pivoting(splu_calls):
     M[0, 0] = 1e-20
     A = sp.csc_matrix(M, dtype=complex)
     x_true = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    x = _direct_solve(A, A @ x_true, "test", ordering=np.arange(8))
-    assert [spec for spec, _ in splu_calls] == ["NATURAL", "COLAMD"]
+    x = _direct_solve(A, A @ x_true, "test", order=np.arange(8))
+    assert [spec for spec, *_ in splu_calls] == ["NATURAL", "COLAMD"]
     assert np.linalg.norm(x - x_true) <= 1e-12 * np.linalg.norm(x_true)
