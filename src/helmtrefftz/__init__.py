@@ -20,7 +20,7 @@ from .exact_solutions import (
     sinsin_case,
     var_omega_case,
 )
-from .harness import RunConfig, emit_csv, parse_csv, run_experiment, summarize
+from .harness import RunConfig, emit_csv, parse_csv, run_experiment, solve, summarize
 from .local_trefftz import KernelDimensionWarning, LocalTrefftzData, all_local_trefftz
 from .mesh import (
     Mesh,
@@ -41,10 +41,7 @@ from .solve_pipeline import (
     SolutionField,
     build_global_embedding,
     particular_field,
-    solve_embedded_trefftz,
     solve_reduced_system,
-    solve_standard_dg,
-    trefftz_dof_count,
 )
 
 __version__ = "0.1.0"

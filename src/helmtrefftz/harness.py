@@ -1,4 +1,10 @@
-"""Experiment harness: configure runs, emit CSV tables, summarize rates.
+"""The solve path and the experiment harness built on it.
+
+solve() assembles the SIPDG system once and solves it with the embedded
+Trefftz method, the standard DG method, or both; every experiment row
+and every library solve goes through it.  perfbench/tracer.py times the
+layers by patching the names this module imports, so the layer calls
+stay here.
 
 Four experiment suites are built in:
 
@@ -23,6 +29,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Sequence
 
 from .dg_assembly import FormParameters, assemble_rhs, assemble_sipdg
 from .error_analysis import ErrorReport, dg_error, dofs_per_wavelength, eoc, l2_error
@@ -37,7 +44,6 @@ from .local_trefftz import all_local_trefftz
 from .mesh import Mesh, build_unit_disk_mesh, build_unit_square_mesh
 from .polyspace import MAX_QUAD_ORDER, _element_mass_grams, dim_poly
 from .solve_pipeline import (
-    SingularSystemError,
     SolutionField,
     _direct_solve,
     build_global_embedding,
@@ -48,6 +54,7 @@ from .solve_pipeline import (
 )
 
 __all__ = [
+    "solve",
     "RunConfig",
     "METHOD_TAGS",
     "PLANEWAVE_RINGS_LADDER",
@@ -133,47 +140,63 @@ def _error_quad_order(p: int, bump: int) -> int:
     return min(2 * p + 6 + bump, MAX_QUAD_ORDER)
 
 
-def _solve_both_methods(mesh, params, case, methods, context):
-    """Solve the shared assembled system once per requested method.
+def solve(
+    mesh: Mesh,
+    params: FormParameters,
+    f: Callable,
+    g: Callable,
+    methods: Sequence[str] = ("embedded", "standard"),
+    context: str | None = None,
+) -> dict[str, SolutionField]:
+    """Solve the impedance Helmholtz problem once per method; {method: field}.
 
-    The element mass Grams are built once here and shared by both
-    preconditioners and, for p >= 6, the kernel orthonormalization.
+    The SIPDG system, its right-hand side and the element mass Grams are
+    built once and shared by both methods (the Grams by both
+    preconditioners and, for p >= 6, the kernel orthonormalization):
+    "standard" solves the system on the broken degree-p space, "embedded"
+    the reduced system on the embedded Trefftz space, which for p < 2 is
+    the broken space itself and is solved as "standard".  Each field
+    carries the number of dofs its method solved for.  A near-singular
+    system raises SingularSystemError with context (by default p and h)
+    and the method in its message.
     """
+    if params.p < 1:
+        raise ValueError(f"DG solve needs p >= 1, got p={params.p}")
+    for method in methods:
+        if method not in METHOD_TAGS:
+            raise ValueError(f"unknown method {method!r}")
+    if context is None:
+        context = f"p={params.p}, h={mesh.max_diameter:.4g}"
     A = assemble_sipdg(mesh, params)
-    b = assemble_rhs(mesh, params, case.f, case.g)
+    b = assemble_rhs(mesh, params, f, g)
     mass_grams = _element_mass_grams(mesh, params.p)
     out = {}
     for method in methods:
-        try:
-            if method == "standard" or params.p < 2:
-                coeffs = _direct_solve(
-                    A,
-                    b,
-                    context=f"{context}, {method}",
-                    bases=[mass_preconditioner(mass_grams)],
-                    order=mesh.dissection_order,
-                )
-                dofs = A.shape[0]
-            else:
-                local = all_local_trefftz(mesh, params.p, params.omega, mass_grams)
-                embedding = build_global_embedding(local)
-                u_f = particular_field(mesh, local, case.f)
-                coeffs = solve_reduced_system(
-                    A,
-                    b,
-                    embedding,
-                    u_f,
-                    context=f"{context}, {method}",
-                    precond=embedding_preconditioner(embedding, mass_grams),
-                    mesh=mesh,
-                )
-                dofs = embedding.n_columns
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                exc.sigma_min, f"{exc} [{context}, method={method}]"
-            ) from exc
+        if method == "standard" or params.p < 2:
+            coeffs = _direct_solve(
+                A,
+                b,
+                context=f"{context}, {method}",
+                bases=[mass_preconditioner(mass_grams)],
+                order=mesh.dissection_order,
+            )
+            dofs = A.shape[0]
+        else:
+            local = all_local_trefftz(mesh, params.p, params.omega, mass_grams)
+            embedding = build_global_embedding(local)
+            u_f = particular_field(mesh, local, f)
+            coeffs = solve_reduced_system(
+                A,
+                b,
+                embedding,
+                u_f,
+                context=f"{context}, {method}",
+                precond=embedding_preconditioner(embedding, mass_grams),
+                mesh=mesh,
+            )
+            dofs = embedding.n_columns
         tag = "embedded-trefftz" if method == "embedded" else "standard-dg"
-        out[method] = (SolutionField(coeffs, params.p, mesh, tag), dofs)
+        out[method] = SolutionField(coeffs, params.p, mesh, tag, dofs)
     return out
 
 
@@ -181,19 +204,19 @@ def _report_rows(config, mesh, case, p, hnr, solved):
     rows = []
     order = _error_quad_order(p, config.quad_bump)
     for method in config.methods:
-        fld, dofs = solved[method]
+        fld = solved[method]
         rows.append(
             ErrorReport(
                 method=METHOD_TAGS[method],
                 p=p,
                 h=mesh.max_diameter,
                 hnr=hnr,
-                dofs=dofs,
+                dofs=fld.dofs,
                 l2error=l2_error(fld, case, order=order),
                 dgerror=dg_error(fld, case, order=order),
                 omega=case.omega_report,
                 dofspwl=dofs_per_wavelength(
-                    dofs, case.omega_representative, mesh.domain_area
+                    fld.dofs, case.omega_representative, mesh.domain_area
                 ),
             )
         )
@@ -226,7 +249,7 @@ def _run_square_experiment(config: RunConfig, case: ManufacturedCase):
         params = FormParameters(omega=case.omega, p=p, alpha=config.alpha)
         for hnr, mesh in enumerate(meshes):
             context = f"{config.experiment}, p={p}, hnr={hnr}"
-            solved = _solve_both_methods(mesh, params, case, config.methods, context)
+            solved = solve(mesh, params, case.f, case.g, config.methods, context)
             reports.extend(_report_rows(config, mesh, case, p, hnr, solved))
     return reports
 
@@ -251,9 +274,7 @@ def _run_planewave(config: RunConfig):
                     mesh_cache[rings] = build_unit_disk_mesh(rings)
                 mesh = mesh_cache[rings]
                 context = f"planewave, omega={omega:g}, p={p}, rings={rings}"
-                solved = _solve_both_methods(
-                    mesh, params, case, config.methods, context
-                )
+                solved = solve(mesh, params, case.f, case.g, config.methods, context)
                 reports.extend(_report_rows(config, mesh, case, p, hnr, solved))
     return reports
 

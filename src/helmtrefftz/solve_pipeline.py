@@ -1,6 +1,7 @@
-"""Two-step embedded Trefftz solve and the standard DG baseline.
+"""The layers of the two-step embedded Trefftz solve and the DG baseline.
 
-The embedded method never builds Trefftz shape functions explicitly.
+harness.solve runs them in sequence on one assembled system.  The
+embedded method never builds Trefftz shape functions explicitly.
 Per element it computes a particular solution of the local constraint
 via the pseudo-inverse, stacks the orthonormal constraint kernels into a
 block-diagonal embedding E, reduces the global SIPDG system to
@@ -38,16 +39,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dg_assembly import FormParameters, assemble_rhs, assemble_sipdg
 from .local_trefftz import (
     LocalTrefftzData,
     _index_groups,
     _pseudo_inverse_solve,
     all_local_rhs,
-    all_local_trefftz,
 )
 from .mesh import Mesh
-from .polyspace import _element_mass_grams, dim_poly
 
 __all__ = [
     "SingularSystemError",
@@ -58,9 +56,6 @@ __all__ = [
     "mass_preconditioner",
     "embedding_preconditioner",
     "solve_reduced_system",
-    "solve_embedded_trefftz",
-    "solve_standard_dg",
-    "trefftz_dof_count",
 ]
 
 RCOND_THRESHOLD = 1e-13
@@ -99,12 +94,17 @@ class GlobalEmbedding:
 
 @dataclass
 class SolutionField:
-    """Complex coefficients over the broken degree-p space."""
+    """Complex coefficients over the broken degree-p space.
+
+    dofs is the size of the system the method solved: the Trefftz
+    dimension for the embedded method, dim P^p per element for standard.
+    """
 
     coefficients: np.ndarray
     degree: int
     mesh: Mesh
     method: str  # "embedded-trefftz" | "standard-dg"
+    dofs: int
 
 
 def build_global_embedding(local: LocalTrefftzData) -> GlobalEmbedding:
@@ -116,16 +116,12 @@ def build_global_embedding(local: LocalTrefftzData) -> GlobalEmbedding:
     )
 
 
-def particular_field(
-    mesh: Mesh, local: LocalTrefftzData, f: Callable | None
-) -> np.ndarray:
+def particular_field(mesh: Mesh, local: LocalTrefftzData, f: Callable) -> np.ndarray:
     """Stack the per-element minimum-norm particular solutions.
 
     Elements whose moments lie outside the range of their constraint are
     reported together in one warning naming the worst residual.
     """
-    if f is None:
-        return np.zeros(len(local) * dim_poly(local.degree), dtype=complex)
     moments = all_local_rhs(mesh, local.degree, f)
     coeffs, resid, incompatible = _pseudo_inverse_solve(local, moments)
     if incompatible.any():
@@ -140,30 +136,24 @@ def particular_field(
     return coeffs.astype(complex).ravel()
 
 
-def _whitener(gram: np.ndarray) -> np.ndarray:
-    """R with R^T G R ~ I via eigendecomposition.
+def mass_preconditioner(mass_grams: np.ndarray) -> np.ndarray:
+    """Blocks of the basis change making each element basis L2-orthonormal.
+
+    Takes the element mass Grams (E, n, n) and returns the stacked
+    whiteners R (E, n, n) with R^T G R ~ I, from an eigendecomposition.
+    Scaled monomials are increasingly ill-conditioned with p; solving in
+    the orthonormalized coordinates keeps the factorization accuracy and
+    the reciprocal-condition diagnostic tied to the operator rather than
+    to the basis.  Solutions are mapped back to monomial coefficients.
 
     Eigenvalues are clipped from below at 1e-14 of the largest one: for
     strongly ill-conditioned Grams (monomial bases at large p) this
     whitens exactly the directions double precision can resolve.
     """
-    lam, q = np.linalg.eigh(0.5 * (gram + gram.swapaxes(-1, -2)))
+    lam, q = np.linalg.eigh(0.5 * (mass_grams + mass_grams.swapaxes(-1, -2)))
     floor = 1e-14 * np.maximum(lam[..., -1:], np.finfo(float).tiny)
     lam = np.maximum(lam, floor)
     return q * (1.0 / np.sqrt(lam))[..., None, :]
-
-
-def mass_preconditioner(mass_grams: np.ndarray) -> np.ndarray:
-    """Blocks of the basis change making each element basis L2-orthonormal.
-
-    Takes the element mass Grams (E, n, n) and returns the stacked
-    whiteners (E, n, n).  Scaled monomials are increasingly
-    ill-conditioned with p; solving in the orthonormalized coordinates
-    keeps the factorization accuracy and the reciprocal-condition
-    diagnostic tied to the operator rather than to the basis.  Solutions
-    are mapped back to monomial coefficients.
-    """
-    return _whitener(mass_grams)
 
 
 def embedding_preconditioner(
@@ -178,7 +168,9 @@ def embedding_preconditioner(
     blocks = np.zeros((len(dims), dims.max(), dims.max()))
     for dim, idx in _index_groups(dims):
         ek = embedding.blocks[idx, :, :dim]
-        blocks[idx, :dim, :dim] = _whitener(ek.swapaxes(-1, -2) @ mass_grams[idx] @ ek)
+        blocks[idx, :dim, :dim] = mass_preconditioner(
+            ek.swapaxes(-1, -2) @ mass_grams[idx] @ ek
+        )
     return blocks
 
 
@@ -446,82 +438,23 @@ def solve_reduced_system(
     b: np.ndarray,
     embedding: GlobalEmbedding,
     u_particular: np.ndarray,
-    context: str = "reduced system",
-    precond: np.ndarray | None = None,
-    mesh: Mesh | None = None,
+    context: str,
+    precond: np.ndarray,
+    mesh: Mesh,
 ) -> np.ndarray:
     """Solve E^T A E y = E^T (b - A u_f) and return E y + u_f.
 
     precond (see embedding_preconditioner) changes the Trefftz basis of
-    each element once more, to Q: the matrix factored is Q^T (E^T A E) Q.
-    Given the mesh, the reduced system is factored in its nested
-    dissection order.
+    each element once more, to Q: the matrix factored is Q^T (E^T A E) Q,
+    in the mesh's nested-dissection order.
     """
-    bases = [embedding.blocks] if precond is None else [embedding.blocks, precond]
-    order = None if mesh is None else mesh.dissection_order
     dims = np.diff(embedding.column_offsets)
-    u_trefftz = _direct_solve(A, b - A @ u_particular, context, bases, dims, order)
+    u_trefftz = _direct_solve(
+        A,
+        b - A @ u_particular,
+        context,
+        [embedding.blocks, precond],
+        dims,
+        mesh.dissection_order,
+    )
     return u_trefftz + u_particular
-
-
-def solve_embedded_trefftz(
-    mesh: Mesh, params: FormParameters, f: Callable | None, g: Callable
-) -> SolutionField:
-    """Embedded Trefftz DG solution of the impedance Helmholtz problem.
-
-    For p < 2 the Trefftz space equals the full broken space, so the
-    standard solver is used verbatim.
-    """
-    if params.p < 2:
-        field = solve_standard_dg(mesh, params, f, g)
-        return SolutionField(field.coefficients, field.degree, mesh, "embedded-trefftz")
-    mass_grams = _element_mass_grams(mesh, params.p)
-    local = all_local_trefftz(mesh, params.p, params.omega, mass_grams)
-    embedding = build_global_embedding(local)
-    u_f = particular_field(mesh, local, f)
-    A = assemble_sipdg(mesh, params)
-    b = assemble_rhs(mesh, params, _zero_source if f is None else f, g)
-    precond = embedding_preconditioner(embedding, mass_grams)
-    coeffs = solve_reduced_system(
-        A,
-        b,
-        embedding,
-        u_f,
-        context=f"embedded, p={params.p}, h={mesh.max_diameter:.4g}",
-        precond=precond,
-        mesh=mesh,
-    )
-    return SolutionField(coeffs, params.p, mesh, "embedded-trefftz")
-
-
-def solve_standard_dg(
-    mesh: Mesh, params: FormParameters, f: Callable | None, g: Callable
-) -> SolutionField:
-    """Standard SIPDG solution on the full broken polynomial space."""
-    if params.p < 1:
-        raise ValueError("standard DG solve needs p >= 1")
-    A = assemble_sipdg(mesh, params)
-    b = assemble_rhs(mesh, params, _zero_source if f is None else f, g)
-    coeffs = _direct_solve(
-        A,
-        b,
-        context=f"standard, p={params.p}, h={mesh.max_diameter:.4g}",
-        bases=[mass_preconditioner(_element_mass_grams(mesh, params.p))],
-        order=mesh.dissection_order,
-    )
-    return SolutionField(coeffs, params.p, mesh, "standard-dg")
-
-
-def _zero_source(points: np.ndarray) -> np.ndarray:
-    return np.zeros(np.asarray(points).shape[:-1], dtype=complex)
-
-
-def trefftz_dof_count(mesh: Mesh, p: int, method: str = "embedded") -> int:
-    """Global dof count: 2p+1 per element embedded, dim P^p standard."""
-    if p < 0:
-        raise ValueError("degree must be nonnegative")
-    if method == "embedded":
-        return mesh.n_elements * min(2 * p + 1, dim_poly(p))
-    if method == "standard":
-        return mesh.n_elements * dim_poly(p)
-    raise ValueError(f"unknown method {method!r}")

@@ -38,8 +38,8 @@ from helmtrefftz.harness import (
     PLANEWAVE_RINGS_LADDER,
     RunConfig,
     _report_rows,
-    _solve_both_methods,
     run_experiment,
+    solve,
 )
 from helmtrefftz.local_trefftz import all_local_trefftz
 from helmtrefftz.mesh import (
@@ -47,13 +47,12 @@ from helmtrefftz.mesh import (
     build_unit_square_mesh,
     mesh_from_triangulation,
 )
-from helmtrefftz.polyspace import dim_poly
+from helmtrefftz.polyspace import _element_mass_grams, dim_poly
 from helmtrefftz.solve_pipeline import (
     build_global_embedding,
+    embedding_preconditioner,
     particular_field,
-    solve_embedded_trefftz,
     solve_reduced_system,
-    solve_standard_dg,
 )
 from helpers import embedding_matrix, polynomial_problem, project, refine
 from test_bessel import oracle_j0, oracle_j1, oracle_y0, oracle_y1
@@ -130,7 +129,7 @@ def planewave_walks():
                 dof_cap=PLANEWAVE_DOF_CAP,
             )
             context = f"planewave walk, p={p}, rings={rings}"
-            solved = _solve_both_methods(mesh, params, case, methods, context)
+            solved = solve(mesh, params, case.f, case.g, methods, context)
             hnr = len(walks[methods[0], p])
             rows = _report_rows(config, mesh, case, p, hnr, solved)
             for method, row in zip(methods, rows):
@@ -200,8 +199,7 @@ def test_criterion_patch_exactness():
         u_cb, f_cb, g_cb = polynomial_problem(p, omega)
         exact = project(mesh, p, u_cb)
         params = FormParameters(omega=omega, p=p)
-        for solver in (solve_standard_dg, solve_embedded_trefftz):
-            field = solver(mesh, params, f_cb, g_cb)
+        for field in solve(mesh, params, f_cb, g_cb).values():
             err = np.linalg.norm(field.coefficients - exact) / np.linalg.norm(exact)
             worst = max(worst, err)
     report(
@@ -222,14 +220,16 @@ def test_criterion_gauge_invariance():
     u_f = particular_field(mesh, local, case.f)
     A = assemble_sipdg(mesh, params)
     b = assemble_rhs(mesh, params, case.f, case.g)
-    base = solve_reduced_system(A, b, emb, u_f)
+    precond = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
+    base = solve_reduced_system(A, b, emb, u_f, "gauge", precond, mesh)
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(20):
         z = rng.standard_normal(emb.n_columns) + 1j * rng.standard_normal(
             emb.n_columns
         )
-        moved = solve_reduced_system(A, b, emb, u_f + embedding_matrix(emb) @ z)
+        shifted = u_f + embedding_matrix(emb) @ z
+        moved = solve_reduced_system(A, b, emb, shifted, "gauge", precond, mesh)
         worst = max(worst, np.linalg.norm(moved - base) / np.linalg.norm(base))
     report(
         "gauge invariance of the particular solution (20 trials)",

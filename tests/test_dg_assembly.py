@@ -12,6 +12,7 @@ from helmtrefftz.dg_assembly import (
     omega_values,
 )
 from helmtrefftz.exact_solutions import var_omega_case
+from helmtrefftz.harness import solve
 from helmtrefftz.mesh import (
     build_unit_disk_mesh,
     build_unit_square_mesh,
@@ -23,7 +24,6 @@ from helmtrefftz.polyspace import (
     map_rule_to_triangle,
     quadrature_rule,
 )
-from helmtrefftz.solve_pipeline import solve_embedded_trefftz, solve_standard_dg
 from helpers import (
     polynomial_problem,
     project,
@@ -84,25 +84,25 @@ def nan_at(node):
     return data
 
 
-@pytest.mark.parametrize("solver", [solve_standard_dg, solve_embedded_trefftz])
-def test_non_finite_source_rejected_naming_the_element(solver):
+@pytest.mark.parametrize("method", ["standard", "embedded"])
+def test_non_finite_source_rejected_naming_the_element(method):
     # the right-hand sides read f at the order-(2p+6) volume rule
     mesh, params = build_unit_square_mesh(2), FormParameters(omega=2.0, p=2)
     pts, _ = map_rule_to_triangle(quadrature_rule(10), mesh.tri_coords)
     f = nan_at(pts[6, 4])
     with pytest.raises(ValueError, match=r"source f\(x\) must be finite") as info:
-        solver(mesh, params, f, zero_g)
+        solve(mesh, params, f, zero_g, methods=(method,))
     assert "index 6 along the first axis (element)" in str(info.value)
 
 
-@pytest.mark.parametrize("solver", [solve_standard_dg, solve_embedded_trefftz])
-def test_non_finite_boundary_data_rejected_naming_the_face(solver):
+@pytest.mark.parametrize("method", ["standard", "embedded"])
+def test_non_finite_boundary_data_rejected_naming_the_face(method):
     mesh, params = build_unit_square_mesh(2), FormParameters(omega=2.0, p=2)
     fb = mesh.boundary_faces
     nodes = edge_quadrature_rule(10).nodes
     node = fb["v0"][3] + nodes[1] * (fb["v1"][3] - fb["v0"][3])
     with pytest.raises(ValueError, match=r"boundary data g\(x, n\)") as info:
-        solver(mesh, params, zero_f, nan_at(node))
+        solve(mesh, params, zero_f, nan_at(node), methods=(method,))
     assert "index 3 along the first axis (boundary face)" in str(info.value)
 
 

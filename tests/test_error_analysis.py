@@ -13,7 +13,8 @@ from helmtrefftz.error_analysis import (
 )
 from helmtrefftz.exact_solutions import ManufacturedCase, sinsin_case
 from helmtrefftz.mesh import build_unit_square_mesh, mesh_from_triangulation
-from helmtrefftz.solve_pipeline import SolutionField, solve_standard_dg
+from helmtrefftz.harness import solve
+from helmtrefftz.solve_pipeline import SolutionField
 from helpers import element_tables, polynomial_problem, project
 
 REFERENCE_TRIANGLE = mesh_from_triangulation(
@@ -47,7 +48,8 @@ def constant_case(omega=2.0, value=0.0):
 
 
 def field_from_function(mesh, p, func, method="standard-dg"):
-    return SolutionField(project(mesh, p, func), p, mesh, method)
+    coeffs = project(mesh, p, func)
+    return SolutionField(coeffs, p, mesh, method, coeffs.size)
 
 
 def test_l2_error_zero_for_projected_polynomial():
@@ -81,6 +83,7 @@ def test_l2_error_shift_bound():
         3,
         mesh,
         "standard-dg",
+        field.dofs,
     )
     assert l2_error(shifted, case) <= base + c * np.sqrt(mesh.domain_area) + 1e-12
 
@@ -89,9 +92,8 @@ def test_l2_error_quadrature_stability():
     # on a resolved mesh the default error quadrature is already converged
     mesh = build_unit_square_mesh(8)
     case = sinsin_case(1.0)
-    field = solve_standard_dg(
-        mesh, FormParameters(omega=1.0, p=3), case.f, case.g
-    )
+    params = FormParameters(omega=1.0, p=3)
+    field = solve(mesh, params, case.f, case.g, methods=("standard",))["standard"]
     e1 = l2_error(field, case)
     e2 = l2_error(field, case, order=2 * (2 * 3 + 6))
     assert abs(e1 - e2) <= 1e-10 * e1
@@ -125,7 +127,7 @@ def test_dg_error_single_face_jump_additivity():
     plus, minus = fa["plus"][0], fa["minus"][0]
     if plus == 1:
         coeffs = np.roll(coeffs, 6)
-    field = SolutionField(coeffs, p, mesh, "standard-dg")
+    field = SolutionField(coeffs, p, mesh, "standard-dg", coeffs.size)
     h_face = 0.5 * (mesh.diameters[plus] + mesh.diameters[minus])
     area = mesh.areas[plus]
     bdry_len = fb["length"][fb["element"] == plus].sum()
@@ -255,5 +257,6 @@ def test_local_coercivity_rejects_low_degree_and_callable():
 def test_dg_error_dominates_scaled_l2():
     mesh = build_unit_square_mesh(4)
     case = sinsin_case(1.0)
-    field = solve_standard_dg(mesh, FormParameters(omega=1.0, p=2), case.f, case.g)
+    params = FormParameters(omega=1.0, p=2)
+    field = solve(mesh, params, case.f, case.g, methods=("standard",))["standard"]
     assert dg_error(field, case) >= case.omega_representative * l2_error(field, case)

@@ -227,5 +227,29 @@ def test_cli_rejects_bad_parameters(tmp_path, capsys, option, value, field):
     assert not out.exists()
 
 
+def test_cli_solver_failure_names_the_rung_once(tmp_path, capsys):
+    # sinsin beyond p=12 exhausts double precision on the coarse mesh
+    out = tmp_path / "x.csv"
+    code = main(
+        [
+            "run",
+            "--experiment",
+            "sinsin",
+            "--p",
+            "14",
+            "--methods",
+            "standard",
+            "--out",
+            str(out),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("solver failure: near-singular matrix")
+    assert err.count("p=14") == 1
+    assert "(sinsin, p=14, hnr=0, standard)" in err
+    assert not out.exists()
+
+
 def test_cli_missing_file(capsys):
     assert main(["summarize", "--in", "/nonexistent/file.csv"]) == 1

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helmtrefftz import solve_pipeline
 from helmtrefftz.dg_assembly import FormParameters, assemble_rhs, assemble_sipdg
 from helmtrefftz.exact_solutions import plane_wave_case
+from helmtrefftz.harness import solve
 from helmtrefftz.local_trefftz import (
     KernelDimensionWarning,
     all_local_rhs,
@@ -30,10 +31,7 @@ from helmtrefftz.solve_pipeline import (
     embedding_preconditioner,
     mass_preconditioner,
     particular_field,
-    solve_embedded_trefftz,
     solve_reduced_system,
-    solve_standard_dg,
-    trefftz_dof_count,
 )
 from helpers import (
     block_diag_matrix,
@@ -82,17 +80,15 @@ def test_patch_exactness_both_solvers(p):
     u_cb, f_cb, g_cb = polynomial_problem(p, omega)
     exact = project(mesh, p, u_cb)
     params = FormParameters(omega=omega, p=p)
-    for solver in (solve_standard_dg, solve_embedded_trefftz):
-        field = solver(mesh, params, f_cb, g_cb)
+    for method, field in solve(mesh, params, f_cb, g_cb).items():
         err = np.linalg.norm(field.coefficients - exact) / np.linalg.norm(exact)
-        assert err <= 1e-9, solver.__name__
+        assert err <= 1e-9, method
 
 
 def test_zero_data_gives_zero_solution():
     mesh = build_unit_square_mesh(2)
     params = FormParameters(omega=2.0, p=3)
-    for solver in (solve_standard_dg, solve_embedded_trefftz):
-        field = solver(mesh, params, zero_f, zero_g)
+    for field in solve(mesh, params, zero_f, zero_g).values():
         assert np.abs(field.coefficients).max() <= 1e-12
 
 
@@ -101,8 +97,8 @@ def test_p1_methods_agree():
     mesh = build_unit_square_mesh(3)
     params = FormParameters(omega=2.0, p=1)
     g = lambda pts, normals: np.exp(1j * pts[..., 0])
-    a = solve_standard_dg(mesh, params, zero_f, g)
-    b = solve_embedded_trefftz(mesh, params, zero_f, g)
+    fields = solve(mesh, params, zero_f, g)
+    a, b = fields["standard"], fields["embedded"]
     assert b.method == "embedded-trefftz"
     diff = np.linalg.norm(a.coefficients - b.coefficients)
     assert diff <= 1e-9 * np.linalg.norm(a.coefficients)
@@ -119,14 +115,15 @@ def test_gauge_freedom_of_particular_solution():
     u_f = particular_field(mesh, local, f_cb)
     A = assemble_sipdg(mesh, params)
     b = assemble_rhs(mesh, params, f_cb, g_cb)
-    base = solve_reduced_system(A, b, emb, u_f)
+    precond = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
+    base = solve_reduced_system(A, b, emb, u_f, "test", precond, mesh)
     rng = np.random.default_rng(17)
     for _ in range(3):
         shift = embedding_matrix(emb) @ (
             rng.standard_normal(emb.n_columns)
             + 1j * rng.standard_normal(emb.n_columns)
         )
-        moved = solve_reduced_system(A, b, emb, u_f + shift)
+        moved = solve_reduced_system(A, b, emb, u_f + shift, "test", precond, mesh)
         assert np.linalg.norm(moved - base) <= 1e-9 * np.linalg.norm(base)
 
 
@@ -343,7 +340,7 @@ def test_two_step_equivalence():
     p, omega = 3, 2.0
     params = FormParameters(omega=omega, p=p)
     u_cb, f_cb, g_cb = polynomial_problem(p, omega)
-    field = solve_embedded_trefftz(mesh, params, f_cb, g_cb)
+    field = solve(mesh, params, f_cb, g_cb, methods=("embedded",))["embedded"]
     local = all_local_trefftz(mesh, p, omega)
     blocks = field.coefficients.reshape(mesh.n_elements, dim_poly(p), 1)
     moments = all_local_rhs(mesh, p, f_cb)
@@ -372,7 +369,7 @@ def test_solver_residual_contract():
     case_g = lambda pts, normals: np.exp(1j * 10.0 * pts[..., 0])
     A = assemble_sipdg(mesh, params)
     b = assemble_rhs(mesh, params, zero_f, case_g)
-    field = solve_standard_dg(mesh, params, zero_f, case_g)
+    field = solve(mesh, params, zero_f, case_g, methods=("standard",))["standard"]
     assert residual(A, b, field.coefficients) <= 1e-10
 
 
@@ -380,17 +377,26 @@ def test_solver_residual_contract():
     "p,embedded,standard", [(1, 3, 3), (3, 7, 10), (5, 11, 21)]
 )
 def test_dof_counts_per_element(p, embedded, standard):
+    # the dofs each method solved for, as solve reports them
     mesh = build_unit_square_mesh(2)
-    assert trefftz_dof_count(mesh, p, "embedded") == 8 * embedded
-    assert trefftz_dof_count(mesh, p, "standard") == 8 * standard
+    fields = solve(mesh, FormParameters(omega=2.0, p=p), zero_f, zero_g)
+    assert fields["embedded"].dofs == 8 * embedded
+    assert fields["standard"].dofs == 8 * standard
 
 
 def test_dof_reduction_strict_for_p_ge_2():
     mesh = build_unit_square_mesh(2)
     for p in range(2, 9):
-        emb = trefftz_dof_count(mesh, p, "embedded")
-        std = trefftz_dof_count(mesh, p, "standard")
-        assert emb < std
+        fields = solve(mesh, FormParameters(omega=2.0, p=p), zero_f, zero_g)
+        assert fields["embedded"].dofs < fields["standard"].dofs
+
+
+def test_solve_rejects_degree_below_one_and_unknown_methods():
+    mesh = build_unit_square_mesh(1)
+    with pytest.raises(ValueError, match=r"p >= 1, got p=0"):
+        solve(mesh, FormParameters(omega=2.0, p=0), zero_f, zero_g)
+    with pytest.raises(ValueError, match="unknown method 'trefftz'"):
+        solve(mesh, FormParameters(omega=2.0, p=2), zero_f, zero_g, ("trefftz",))
 
 
 def test_singular_matrix_reported():
@@ -446,8 +452,9 @@ def test_dissection_ordering_matches_colamd(method, splu_calls):
         emb = build_global_embedding(local)
         u_f = particular_field(mesh, local, case.f)
         precond = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
-        ordered = solve_reduced_system(A, b, emb, u_f, precond=precond, mesh=mesh)
-        reference = solve_reduced_system(A, b, emb, u_f, precond=precond)
+        ordered = solve_reduced_system(A, b, emb, u_f, "test", precond, mesh)
+        bases, dims = [emb.blocks, precond], np.diff(emb.column_offsets)
+        reference = _direct_solve(A, b - A @ u_f, "test", bases, dims) + u_f
     assert np.linalg.norm(ordered - reference) <= 1e-10 * np.linalg.norm(reference)
     (nd, nd_fill, _), (colamd, colamd_fill, _) = splu_calls
     assert (nd, colamd) == ("NATURAL", "COLAMD")
