@@ -29,10 +29,21 @@ transposed; the products commute, so the transposes are exact.  A
 matmul would sum in another order and move the round-off floor of the
 errors (sinsin, p = 12).
 
-The matrix is built from stacked element-pair blocks.  They stay real
-(only the impedance blocks are complex) until one pass writes them,
-in a fixed order, into COO arrays allocated once; scipy then sums the
-duplicates in that order, and every table and block is freed first.
+The matrix is built from stacked element-pair blocks, which stay real
+(only the impedance blocks are complex), and is returned as a BSR
+matrix with one n x n block per element pair, n = dim P^p: the
+diagonal and both (plus, minus) pairs of every interior face, block
+columns sorted.  Where blocks meet, scipy's COO to CSR conversion adds
+them: within each row it std::sorts the entries by column, an unstable
+sort whose result depends only on the sequence of column keys in that
+row, then adds equal columns left to right.  The order of the sum is
+therefore not the COO order; it is fixed by the row's key sequence.
+The blocks are written in the order volume, faces (+, +), (+, -),
+(-, +), (-, -), impedance, each segment in face order, so a tile of
+whole block rows that keeps that relative order within every row
+converts to the same bits as the whole matrix would.  Such tiles of at
+most _ROW_TILE entries are converted one at a time and copied into the
+BSR data, allocated once; no duplicate-sized array outlives a tile.
 """
 
 from __future__ import annotations
@@ -238,10 +249,75 @@ def _impedance_blocks(mesh: Mesh, params: FormParameters, edge_rule) -> np.ndarr
     return 1j * np.einsum("fmi,fmj,fm->fij", evb.values, evb.values, wb * om)
 
 
-def assemble_sipdg(mesh: Mesh, params: FormParameters) -> sp.csr_matrix:
-    """Assemble the SIPDG matrix A with A[i, j] = a_h(phi_j, phi_i)."""
-    n = dim_poly(params.p)
-    n_dofs = mesh.n_elements * n
+# Largest COO tile of _sum_block_rows, in duplicate entries
+_ROW_TILE = 1 << 16
+
+
+def _sum_block_rows(segments, n_elements: int, n: int) -> sp.bsr_matrix:
+    """Sum stacked element-pair blocks into a BSR matrix, blocksize (n, n).
+
+    segments is as for _block_triplets.  Block rows are converted in
+    tiles of at most _ROW_TILE duplicate entries (at least one block row)
+    by scipy's COO to CSR conversion; within a tile every row keeps the
+    relative order its entries have in the whole COO, so each sum is
+    bitwise that of converting the whole COO at once.  Row a of block
+    row k holds deg_k runs of n sorted columns, one per block column, so
+    the tile's CSR data moves into the BSR data by index arithmetic.
+    """
+    n_dofs = n_elements * n
+    # each segment's blocks by row element, face order kept among equals
+    by_row = [np.argsort(row_elems, kind="stable") for _, row_elems, _ in segments]
+    sorted_rows = [row_elems[o] for (_, row_elems, _), o in zip(segments, by_row)]
+    # the block pattern: the distinct (row, column) element pairs, sorted
+    # (a sort and a mask; np.unique hashes integers first, far slower)
+    keys = np.sort(
+        np.concatenate([r.astype(np.int64) * n_elements + c for _, r, c in segments])
+    )
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    block_rows, block_cols = np.divmod(keys, n_elements)
+    idx_dtype = np.int32 if n_dofs < 2**31 else np.int64
+    indptr = np.zeros(n_elements + 1, dtype=np.int64)
+    np.cumsum(np.bincount(block_rows, minlength=n_elements), out=indptr[1:])
+    data = np.empty((len(keys), n, n), dtype=complex)
+    # duplicate entries up to the end of each block row
+    ends = np.cumsum(
+        sum(np.bincount(r, minlength=n_elements) for _, r, _ in segments)
+    ) * (n * n)
+    k0 = 0
+    while k0 < n_elements:
+        start = ends[k0 - 1] if k0 else 0
+        k1 = max(k0 + 1, int(np.searchsorted(ends, start + _ROW_TILE, "right")))
+        tile = []
+        for (blocks, _, col_elems), order, rows in zip(segments, by_row, sorted_rows):
+            lo, hi = np.searchsorted(rows, (k0, k1))
+            sel = order[lo:hi]
+            tile.append((blocks[sel], rows[lo:hi] - k0, col_elems[sel]))
+        r, c, v = _block_triplets(tile, n, n_dofs, complex)
+        csr = sp.coo_matrix((v, (r, c)), shape=((k1 - k0) * n, n_dofs)).tocsr()
+        # block t of the tile: block row k, j-th block of that row
+        b0, b1 = indptr[k0], indptr[k1]
+        k = block_rows[b0:b1]
+        first, deg = indptr[k] - b0, indptr[k + 1] - indptr[k]
+        j = np.arange(b0, b1) - indptr[k]
+        at = (first * n * n + j * n)[:, None, None] + (
+            (deg * n)[:, None, None] * np.arange(n)[:, None] + np.arange(n)
+        )
+        data[b0:b1] = csr.data[at]
+        k0 = k1
+    A = sp.bsr_matrix(
+        (data, block_cols.astype(idx_dtype), indptr.astype(idx_dtype)),
+        shape=(n_dofs, n_dofs),
+    )
+    A.has_sorted_indices = True
+    return A
+
+
+def assemble_sipdg(mesh: Mesh, params: FormParameters) -> sp.bsr_matrix:
+    """Assemble the SIPDG matrix A with A[i, j] = a_h(phi_j, phi_i).
+
+    A is a BSR matrix with blocksize (n, n), n = dim P^p: one block per
+    element and per (plus, minus) pair of every interior face.
+    """
     edge_rule = edge_quadrature_rule(min(2 * params.p + 2, MAX_QUAD_ORDER))
     elems = np.arange(mesh.n_elements)
     el_b = mesh.boundary_faces["element"]
@@ -250,9 +326,7 @@ def assemble_sipdg(mesh: Mesh, params: FormParameters) -> sp.csr_matrix:
         *_interior_face_blocks(mesh, params, edge_rule),
         (_impedance_blocks(mesh, params, edge_rule), el_b, el_b),
     ]
-    rows, cols, data = _block_triplets(segments, n, n_dofs, complex)
-    del segments  # the real blocks, before scipy's CSR copy
-    return sp.coo_matrix((data, (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
+    return _sum_block_rows(segments, mesh.n_elements, dim_poly(params.p))
 
 
 def assemble_rhs(

@@ -155,10 +155,11 @@ def solve(
     preconditioners and, for p >= 6, the kernel orthonormalization):
     "standard" solves the system on the broken degree-p space, "embedded"
     the reduced system on the embedded Trefftz space, which for p < 2 is
-    the broken space itself and is solved as "standard".  Each field
-    carries the number of dofs its method solved for.  A near-singular
-    system raises SingularSystemError with context (by default p and h)
-    and the method in its message.
+    the broken space itself: that system is solved once, as "standard",
+    and both fields share its coefficients.  Each field carries the
+    number of dofs its method solved for.  A near-singular system raises
+    SingularSystemError with context (by default p and h) and the method
+    in its message.
     """
     if params.p < 1:
         raise ValueError(f"DG solve needs p >= 1, got p={params.p}")
@@ -171,15 +172,18 @@ def solve(
     b = assemble_rhs(mesh, params, f, g)
     mass_grams = _element_mass_grams(mesh, params.p)
     out = {}
+    broken = None  # the broken-space solution, solved at most once
     for method in methods:
         if method == "standard" or params.p < 2:
-            coeffs = _direct_solve(
-                A,
-                b,
-                context=f"{context}, {method}",
-                bases=[mass_preconditioner(mass_grams)],
-                order=mesh.dissection_order,
-            )
+            if broken is None:
+                broken = _direct_solve(
+                    A,
+                    b,
+                    context=f"{context}, {method}",
+                    bases=[mass_preconditioner(mass_grams)],
+                    order=mesh.dissection_order,
+                )
+            coeffs = broken
             dofs = A.shape[0]
         else:
             local = all_local_trefftz(mesh, params.p, params.omega, mass_grams)

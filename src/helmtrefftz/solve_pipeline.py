@@ -12,14 +12,16 @@ Every basis change here (the embedding, and the whitening
 preconditioners that make each element basis L2-orthonormal) is block
 diagonal with one real block per element, kept as a stacked array.  The
 matrix that is factored is therefore the block congruence T_r^T A_rc T_c
-over the nonzero element-pair blocks A_rc of A: _block_congruence reads
-those blocks once, a tile at a time, and forms every product with
-stacked einsum, which sums each entry in index order exactly as a sparse
-matrix product does, so the result is bitwise the sparse triple product
-T^T (A T).  BLAS matmul would sum in another order; at p = 12 that moves
-the round-off floor of the errors.  The Grams that assemble A keep
-einsum's order by the same rule (see dg_assembly and
-polyspace._weighted_gram).
+over the nonzero element-pair blocks A_rc of A.  A arrives from
+dg_assembly as a BSR matrix of exactly those blocks, so
+_block_congruence reads them in place, a tile at a time, with no copy
+of A (another sparse format is converted first).  It forms every
+product with stacked einsum, which sums each entry in index order
+exactly as a sparse matrix product does, so the result is bitwise the
+sparse triple product T^T (A T).  BLAS matmul would sum in another
+order; at p = 12 that moves the round-off floor of the errors.  The
+Grams that assemble A keep einsum's order by the same rule (see
+dg_assembly and polyspace._weighted_gram).
 
 All linear systems use a direct sparse LU factorization, in the mesh's
 nested-dissection order when the mesh is known: the congruence writes
@@ -206,7 +208,7 @@ def _block_congruence(
     indices sorted within each column and exact zeros dropped.
     """
     n = A.shape[0] // len(sizes)
-    bsr = A.tobsr(blocksize=(n, n))  # the tiles read A's blocks from it
+    bsr = A.tobsr(blocksize=(n, n))  # A itself when assembled as BSR
     rows = np.repeat(np.arange(len(sizes)), np.diff(bsr.indptr))
     cols = bsr.indices
     rank = np.empty_like(order)

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from helmtrefftz import dg_assembly
 from helmtrefftz.dg_assembly import (
     FormParameters,
     assemble_rhs,
@@ -131,18 +133,55 @@ BITWISE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(BITWISE_CASES))
-def test_sipdg_matrix_bitwise_reference(case):
-    # the transposed face blocks, the gradient Gram and the preallocated
-    # COO keep every bit of the twelve-einsum, list-built matrix
+def test_sipdg_matrix_bitwise_reference(case, monkeypatch):
+    # the transposed face blocks and the gradient Gram keep every bit of
+    # the twelve-einsum, list-built matrix.  scipy's COO to CSR sorts each
+    # row by column with an unstable sort, so a duplicate sum depends on
+    # the row's sequence of column keys, not on the COO order; a tile of
+    # whole block rows that keeps each row's relative order reproduces
+    # it, whether a tile holds one block row or the whole matrix
     make_mesh, omega, p = BITWISE_CASES[case]
     mesh = make_mesh()
     params = FormParameters(omega=omega, p=p)
-    A = assemble_sipdg(mesh, params)
+    n = dim_poly(p)
     R = reference_assemble_sipdg(mesh, params)
-    assert A.shape == R.shape and A.data.dtype == R.data.dtype
-    assert np.array_equal(A.indptr, R.indptr)
-    assert np.array_equal(A.indices, R.indices)
-    assert np.array_equal(A.data.view(np.int64), R.data.view(np.int64))
+    for tile in (dg_assembly._ROW_TILE, 1, 1 << 62):
+        monkeypatch.setattr(dg_assembly, "_ROW_TILE", tile)
+        A = assemble_sipdg(mesh, params)
+        assert A.format == "bsr" and A.blocksize == (n, n)
+        assert A.nnz == R.nnz
+        C = A.tocsr()
+        assert C.shape == R.shape and C.data.dtype == R.data.dtype
+        assert np.array_equal(C.indptr, R.indptr)
+        assert np.array_equal(C.indices, R.indices)
+        assert np.array_equal(C.data.view(np.int64), R.data.view(np.int64))
+
+
+def _root_buffer(array):
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def test_sipdg_matrix_holds_no_duplicate_buffers():
+    # A keeps one complex slot per stored entry, not scipy's
+    # duplicate-sized COO buffers behind a view
+    A = assemble_sipdg(build_unit_square_mesh(4), FormParameters(omega=2.0, p=3))
+    assert A.data.nbytes == 16 * A.nnz
+    assert _root_buffer(A.data).nbytes == A.data.nbytes
+
+
+def test_sipdg_assembly_memory():
+    # the tiled assembly holds at most three times its result at once
+    # (the one-shot COO held 5.1 times)
+    mesh, params = build_unit_square_mesh(4), FormParameters(omega=1.0, p=12)
+    tracemalloc.start()
+    try:
+        A = assemble_sipdg(mesh, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
