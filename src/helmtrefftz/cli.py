@@ -34,8 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated polynomial degrees")
     run.add_argument("--levels", type=int, default=0,
                      help="number of refinement levels (mesh ladder length)")
-    run.add_argument("--omega", type=_float_list, default=(100.0,), metavar="LIST",
-                     help="comma-separated wavenumbers (planewave only)")
+    run.add_argument("--omega", type=_float_list, default=(), metavar="LIST",
+                     help="comma-separated wavenumbers (planewave only; default 100)")
     run.add_argument("--alpha", type=float, default=10.0, help="penalty parameter")
     run.add_argument("--methods", type=_method_list,
                      default=("embedded", "standard"), metavar="LIST",
@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output CSV path")
     run.add_argument("--dof-cap", type=int, default=2_000_000,
                      help="refuse or trim configurations beyond this dof count")
-    run.add_argument("--quad-bump", type=int, default=0,
-                     help="extra quadrature order for error integrals")
 
     summ = sub.add_parser("summarize", help="print a rate table for a CSV file")
     summ.add_argument("--in", dest="path", required=True, help="CSV file to read")
@@ -72,7 +70,6 @@ def main(argv: list[str] | None = None) -> int:
             alpha=args.alpha,
             out=args.out,
             dof_cap=args.dof_cap,
-            quad_bump=args.quad_bump,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,14 +57,13 @@ import scipy.sparse as sp
 
 from .mesh import Mesh
 from .polyspace import (
-    MAX_QUAD_ORDER,
-    _monomial_tables,
+    _data_order,
+    _element_tables,
+    _face_quadrature,
+    _gram_order,
     _volume_tables,
     _weighted_gram,
     dim_poly,
-    edge_quadrature_rule,
-    map_rule_to_triangle,
-    quadrature_rule,
 )
 
 __all__ = [
@@ -155,11 +154,6 @@ def interior_face_h(mesh: Mesh) -> np.ndarray:
     return 0.5 * (mesh.diameters[fa["plus"]] + mesh.diameters[fa["minus"]])
 
 
-def _edge_points(v0, v1, nodes):
-    """Quadrature points on segments: (F, M, 2) from endpoints (F, 2)."""
-    return v0[:, None, :] + nodes[None, :, None] * (v1 - v0)[:, None, :]
-
-
 def _block_triplets(segments, n: int, n_dofs: int, dtype):
     """COO rows, columns and data of stacked element-pair blocks.
 
@@ -190,14 +184,14 @@ def _block_triplets(segments, n: int, n_dofs: int, dtype):
 
 def _volume_blocks(mesh: Mesh, params: FormParameters) -> np.ndarray:
     """(grad u, grad v) - omega^2 (u, v) on every element, exact quadrature."""
-    ev, pts, w = _volume_tables(mesh, params.p)
+    ev, pts, w = _volume_tables(mesh, params.p, _gram_order(params.p))
     vol = _weighted_gram((ev.gx, ev.gy), w)
     om2 = omega_values(params.omega, pts) ** 2
     vol -= np.einsum("eqi,eqj,eq->eij", ev.values, ev.values, w * om2)
     return vol
 
 
-def _interior_face_blocks(mesh: Mesh, params: FormParameters, edge_rule) -> list:
+def _interior_face_blocks(mesh: Mesh, params: FormParameters) -> list:
     """Consistency, symmetry and penalty terms of every interior face.
 
     Returns the (test side, trial side) blocks (+, +), (+, -), (-, +) and
@@ -205,14 +199,13 @@ def _interior_face_blocks(mesh: Mesh, params: FormParameters, edge_rule) -> list
     """
     p = params.p
     fa = mesh.interior_faces
-    pts_f = _edge_points(fa["v0"], fa["v1"], edge_rule.nodes)
-    wf = edge_rule.weights[None, :] * fa["length"][:, None]
+    pts_f, wf = _face_quadrature(fa, _gram_order(p))
     nx = fa["normal"][:, 0, None, None]
     ny = fa["normal"][:, 1, None, None]
     owner = {"+": fa["plus"], "-": fa["minus"]}
     vals, dn = {}, {}
     for s, el in owner.items():
-        evf = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_f)
+        evf = _element_tables(mesh, el, p, pts_f)
         vals[s] = evf.values
         dn[s] = 0.0 + evf.gx * nx + evf.gy * ny  # einsum's order, from +0.0
     # cross[s, t] = (vals_s, dn_t)_F; (dn_t, vals_s)_F is its transpose
@@ -238,13 +231,11 @@ def _interior_face_blocks(mesh: Mesh, params: FormParameters, edge_rule) -> list
     return segments
 
 
-def _impedance_blocks(mesh: Mesh, params: FormParameters, edge_rule) -> np.ndarray:
+def _impedance_blocks(mesh: Mesh, params: FormParameters) -> np.ndarray:
     """i (omega u, v) on every boundary face, complex."""
     fb = mesh.boundary_faces
-    pts_b = _edge_points(fb["v0"], fb["v1"], edge_rule.nodes)
-    wb = edge_rule.weights[None, :] * fb["length"][:, None]
-    el = fb["element"]
-    evb = _monomial_tables(mesh.incenters[el], mesh.diameters[el], params.p, pts_b)
+    pts_b, wb = _face_quadrature(fb, _gram_order(params.p))
+    evb = _element_tables(mesh, fb["element"], params.p, pts_b)
     om = omega_values(params.omega, pts_b)
     return 1j * np.einsum("fmi,fmj,fm->fij", evb.values, evb.values, wb * om)
 
@@ -318,13 +309,12 @@ def assemble_sipdg(mesh: Mesh, params: FormParameters) -> sp.bsr_matrix:
     A is a BSR matrix with blocksize (n, n), n = dim P^p: one block per
     element and per (plus, minus) pair of every interior face.
     """
-    edge_rule = edge_quadrature_rule(min(2 * params.p + 2, MAX_QUAD_ORDER))
     elems = np.arange(mesh.n_elements)
     el_b = mesh.boundary_faces["element"]
     segments = [
         (_volume_blocks(mesh, params), elems, elems),
-        *_interior_face_blocks(mesh, params, edge_rule),
-        (_impedance_blocks(mesh, params, edge_rule), el_b, el_b),
+        *_interior_face_blocks(mesh, params),
+        (_impedance_blocks(mesh, params), el_b, el_b),
     ]
     return _sum_block_rows(segments, mesh.n_elements, dim_poly(params.p))
 
@@ -339,21 +329,19 @@ def assemble_rhs(
     naming the element or boundary face.
     """
     p = params.p
-    n = dim_poly(p)
-    order = min(2 * p + 6, MAX_QUAD_ORDER)
-    b = np.zeros((mesh.n_elements, n), dtype=complex)
+    order = _data_order(p)
+    b = np.zeros((mesh.n_elements, dim_poly(p)), dtype=complex)
 
-    pts, w = map_rule_to_triangle(quadrature_rule(order), mesh.tri_coords)
-    vals = _monomial_tables(mesh.incenters, mesh.diameters, p, pts).values
+    ev, pts, w = _volume_tables(mesh, p, order)
+    vals = ev.values
+    del ev  # frees the power tables before f is evaluated
     fv = _source_values(f, pts).astype(complex)
     b += np.einsum("eqi,eq->ei", vals, fv * w)
 
-    edge_rule = edge_quadrature_rule(order)
     fb = mesh.boundary_faces
-    pts_b = _edge_points(fb["v0"], fb["v1"], edge_rule.nodes)
-    wb = edge_rule.weights[None, :] * fb["length"][:, None]
+    pts_b, wb = _face_quadrature(fb, order)
     el = fb["element"]
-    vals_b = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_b).values
+    vals_b = _element_tables(mesh, el, p, pts_b).values
     normals = np.broadcast_to(fb["normal"][:, None, :], pts_b.shape)
     gv = np.asarray(g(pts_b, normals), dtype=complex)
     _reject_at_points(

@@ -24,21 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dg_assembly import _block_triplets, _edge_points, interior_face_h, omega_values
+from .dg_assembly import _block_triplets, interior_face_h, omega_values
 from .exact_solutions import ManufacturedCase
 from .local_trefftz import constraint_matrices
 from .mesh import Mesh
 from .polyspace import (
-    MAX_QUAD_ORDER,
+    _data_order,
     _element_boundary_grams,
     _element_mass_grams,
     _element_stiffness_grams,
-    _monomial_tables,
+    _element_tables,
+    _face_quadrature,
+    _gram_order,
+    _volume_tables,
     bubble_basis,
     dim_poly,
-    edge_quadrature_rule,
-    map_rule_to_triangle,
-    quadrature_rule,
 )
 from .solve_pipeline import SolutionField
 
@@ -83,43 +83,32 @@ class ConstantEstimate:
     h: float
 
 
-def _error_order(p: int, order: int | None) -> int:
-    if order is None:
-        order = 2 * p + 6
-    return min(order, MAX_QUAD_ORDER)
-
-
-def _field_volume_data(field: SolutionField, order: int):
+def _field_volume_data(field: SolutionField):
+    """Points, weights, tables, values and coefficients of the field at the
+    data rule of its degree."""
     mesh = field.mesh
     p = field.degree
-    pts, w = map_rule_to_triangle(quadrature_rule(order), mesh.tri_coords)
-    ev = _monomial_tables(mesh.incenters, mesh.diameters, p, pts)
+    ev, pts, w = _volume_tables(mesh, p, _data_order(p))
     coeffs = field.coefficients.reshape(mesh.n_elements, dim_poly(p))
     uh = np.einsum("eqi,ei->eq", ev.values, coeffs)
     return pts, w, ev, uh, coeffs
 
 
-def l2_error(
-    field: SolutionField, case: ManufacturedCase, order: int | None = None
-) -> float:
+def l2_error(field: SolutionField, case: ManufacturedCase) -> float:
     """Broken L2 distance between the discrete field and the exact solution."""
-    order = _error_order(field.degree, order)
-    pts, w, _, uh, _ = _field_volume_data(field, order)
+    pts, w, _, uh, _ = _field_volume_data(field)
     diff = uh - case.u(pts)
     return float(np.sqrt(np.einsum("eq,eq->", np.abs(diff) ** 2, w)))
 
 
-def dg_error(
-    field: SolutionField, case: ManufacturedCase, order: int | None = None
-) -> float:
+def dg_error(field: SolutionField, case: ManufacturedCase) -> float:
     """DG energy norm of the error against a continuous exact solution.
 
     The jump term carries p^2/h_F without the penalty factor alpha.
     """
     mesh = field.mesh
     p = field.degree
-    order = _error_order(p, order)
-    pts, w, ev, uh, coeffs = _field_volume_data(field, order)
+    pts, w, ev, uh, coeffs = _field_volume_data(field)
     grad_uh = np.einsum("eqid,ei->eqd", ev.gradients, coeffs)
 
     om2 = omega_values(case.omega, pts) ** 2
@@ -128,22 +117,19 @@ def dg_error(
     total = np.einsum("eqd,eq->", np.abs(grad_diff) ** 2, w)
     total += np.einsum("eq,eq->", om2 * np.abs(diff) ** 2, w)
 
-    edge_rule = edge_quadrature_rule(order)
     fa = mesh.interior_faces
-    pts_f = _edge_points(fa["v0"], fa["v1"], edge_rule.nodes)
-    wf = edge_rule.weights[None, :] * fa["length"][:, None]
+    pts_f, wf = _face_quadrature(fa, _data_order(p))
     jump = np.zeros(pts_f.shape[:2], dtype=complex)
     for sign, el in ((1.0, fa["plus"]), (-1.0, fa["minus"])):
-        vals = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_f).values
+        vals = _element_tables(mesh, el, p, pts_f).values
         jump += sign * np.einsum("fmi,fi->fm", vals, coeffs[el])
     weight = p**2 / interior_face_h(mesh)
     total += np.einsum("f,fm,fm->", weight, np.abs(jump) ** 2, wf)
 
     fb = mesh.boundary_faces
-    pts_b = _edge_points(fb["v0"], fb["v1"], edge_rule.nodes)
-    wb = edge_rule.weights[None, :] * fb["length"][:, None]
+    pts_b, wb = _face_quadrature(fb, _data_order(p))
     el = fb["element"]
-    vals = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts_b).values
+    vals = _element_tables(mesh, el, p, pts_b).values
     diff_b = np.einsum("fmi,fi->fm", vals, coeffs[el]) - case.u(pts_b)
     om_b = omega_values(case.omega, pts_b)
     total += np.einsum("fm,fm->", om_b * np.abs(diff_b) ** 2, wb)
@@ -167,13 +153,11 @@ def eoc(errors, hs) -> list[float]:
     ]
 
 
-def dofs_per_wavelength(
-    dofs: float, omega: float, domain_area: float, d: int = 2
-) -> float:
-    """Resolution measure 2 pi dofs^(1/d) / (omega |Omega|^(1/d))."""
+def dofs_per_wavelength(dofs: float, omega: float, domain_area: float) -> float:
+    """Resolution measure 2 pi dofs^(1/2) / (omega |Omega|^(1/2)) in 2D."""
     if dofs <= 0 or omega <= 0 or domain_area <= 0:
         raise ValueError("all inputs must be positive")
-    return float(2.0 * np.pi * dofs ** (1.0 / d) / (omega * domain_area ** (1.0 / d)))
+    return float(2.0 * np.pi * dofs**0.5 / (omega * domain_area**0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +235,11 @@ def _broken_grams(mesh: Mesh, p: int, omega: float):
     vol = _element_stiffness_grams(mesh, p) + omega**2 * _element_mass_grams(mesh, p)
 
     # jump terms: the four (plus/minus) x (plus/minus) blocks of every face
-    rule = edge_quadrature_rule(min(2 * p + 2, MAX_QUAD_ORDER))
     fa = mesh.interior_faces
-    pts = _edge_points(fa["v0"], fa["v1"], rule.nodes)
-    wts = rule.weights[None, :] * fa["length"][:, None]
+    pts, wts = _face_quadrature(fa, _gram_order(p))
     sides = np.stack([fa["plus"], fa["minus"]], axis=1)  # (F, 2)
     traces = np.stack(
-        [
-            _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts).values
-            for el in sides.T
-        ],
-        axis=1,
+        [_element_tables(mesh, el, p, pts).values for el in sides.T], axis=1
     )  # (F, 2, M, n)
     sign = np.array([1.0, -1.0])
     weight = (p**2 / interior_face_h(mesh))[:, None, None] * sign[:, None] * sign
@@ -269,10 +247,9 @@ def _broken_grams(mesh: Mesh, p: int, omega: float):
     jump *= weight[..., None, None]
 
     fb = mesh.boundary_faces
-    pts = _edge_points(fb["v0"], fb["v1"], rule.nodes)
-    wts = rule.weights[None, :] * fb["length"][:, None]
+    pts, wts = _face_quadrature(fb, _gram_order(p))
     el = fb["element"]
-    tr = _monomial_tables(mesh.incenters[el], mesh.diameters[el], p, pts).values
+    tr = _element_tables(mesh, el, p, pts).values
     impedance = omega * np.einsum("fmi,fmj,fm->fij", tr, tr, wts)
 
     rows_of_jump = np.repeat(sides, 2, axis=1).ravel()

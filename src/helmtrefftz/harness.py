@@ -42,7 +42,7 @@ from .exact_solutions import (
 )
 from .local_trefftz import all_local_trefftz
 from .mesh import Mesh, build_unit_disk_mesh, build_unit_square_mesh
-from .polyspace import MAX_QUAD_ORDER, _element_mass_grams, dim_poly
+from .polyspace import _element_mass_grams, dim_poly
 from .solve_pipeline import (
     SolutionField,
     _direct_solve,
@@ -97,11 +97,10 @@ class RunConfig:
     methods: tuple[str, ...] = ("embedded", "standard")
     degrees: tuple[int, ...] = ()
     levels: int = 0
-    omegas: tuple[float, ...] = (100.0,)
+    omegas: tuple[float, ...] = ()  # planewave only; () means (100.0,)
     alpha: float = 10.0
     out: str | Path | None = None
     dof_cap: int = 2_000_000
-    quad_bump: int = 0
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -114,6 +113,8 @@ class RunConfig:
                 raise ValueError(f"unknown method {m!r}")
         if not self.methods:
             raise ValueError("need at least one method")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods repeat, got methods={self.methods}")
         degrees = tuple(self.degrees) or _DEFAULT_DEGREES[self.experiment]
         if any(p < 1 for p in degrees):
             raise ValueError(f"degrees must be >= 1, got {degrees}")
@@ -121,10 +122,21 @@ class RunConfig:
         levels = self.levels or _DEFAULT_LEVELS[self.experiment]
         if levels < 1:
             raise ValueError("need at least one refinement level")
+        if self.experiment == "sinsin" and levels > 1:
+            raise ValueError(
+                f"sinsin runs on one fixed mesh; levels must be 1, got levels={levels}"
+            )
         object.__setattr__(self, "levels", levels)
         omegas = tuple(float(o) for o in self.omegas)
+        if omegas and self.experiment != "planewave":
+            raise ValueError(
+                f"omegas apply to planewave only; {self.experiment} fixes its "
+                f"wavenumber, got omegas={omegas}"
+            )
         if not all(math.isfinite(o) and o > 0.0 for o in omegas):
             raise ValueError(f"omegas must be finite and positive, got {omegas}")
+        if self.experiment == "planewave":
+            omegas = omegas or (100.0,)
         object.__setattr__(self, "omegas", omegas)
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(
@@ -132,12 +144,6 @@ class RunConfig:
             )
         if self.dof_cap < 1:
             raise ValueError(f"dof_cap must be >= 1, got dof_cap={self.dof_cap}")
-        if self.quad_bump < 0:
-            raise ValueError(f"quad_bump must be >= 0, got quad_bump={self.quad_bump}")
-
-
-def _error_quad_order(p: int, bump: int) -> int:
-    return min(2 * p + 6 + bump, MAX_QUAD_ORDER)
 
 
 def solve(
@@ -204,27 +210,24 @@ def solve(
     return out
 
 
-def _report_rows(config, mesh, case, p, hnr, solved):
-    rows = []
-    order = _error_quad_order(p, config.quad_bump)
-    for method in config.methods:
-        fld = solved[method]
-        rows.append(
-            ErrorReport(
-                method=METHOD_TAGS[method],
-                p=p,
-                h=mesh.max_diameter,
-                hnr=hnr,
-                dofs=fld.dofs,
-                l2error=l2_error(fld, case, order=order),
-                dgerror=dg_error(fld, case, order=order),
-                omega=case.omega_report,
-                dofspwl=dofs_per_wavelength(
-                    fld.dofs, case.omega_representative, mesh.domain_area
-                ),
-            )
+def _report_rows(case: ManufacturedCase, hnr: int, solved) -> list[ErrorReport]:
+    """One row per solved field {method: field}, in the order of solved."""
+    return [
+        ErrorReport(
+            method=METHOD_TAGS[method],
+            p=fld.degree,
+            h=fld.mesh.max_diameter,
+            hnr=hnr,
+            dofs=fld.dofs,
+            l2error=l2_error(fld, case),
+            dgerror=dg_error(fld, case),
+            omega=case.omega_report,
+            dofspwl=dofs_per_wavelength(
+                fld.dofs, case.omega_representative, fld.mesh.domain_area
+            ),
         )
-    return rows
+        for method, fld in solved.items()
+    ]
 
 
 def _square_meshes(levels: int) -> list[Mesh]:
@@ -234,8 +237,8 @@ def _square_meshes(levels: int) -> list[Mesh]:
     ]
 
 
-def _check_square_budget(config: RunConfig, levels: int):
-    n_max = SQUARE_BASE_SUBDIVISIONS * 2 ** (levels - 1)
+def _check_square_budget(config: RunConfig):
+    n_max = SQUARE_BASE_SUBDIVISIONS * 2 ** (config.levels - 1)
     worst = 2 * n_max**2 * dim_poly(max(config.degrees))
     if worst > config.dof_cap:
         raise ValueError(
@@ -245,16 +248,15 @@ def _check_square_budget(config: RunConfig, levels: int):
 
 
 def _run_square_experiment(config: RunConfig, case: ManufacturedCase):
-    levels = config.levels if config.experiment != "sinsin" else 1
-    _check_square_budget(config, levels)
-    meshes = _square_meshes(levels)
+    _check_square_budget(config)
+    meshes = _square_meshes(config.levels)
     reports = []
     for p in config.degrees:
         params = FormParameters(omega=case.omega, p=p, alpha=config.alpha)
         for hnr, mesh in enumerate(meshes):
             context = f"{config.experiment}, p={p}, hnr={hnr}"
             solved = solve(mesh, params, case.f, case.g, config.methods, context)
-            reports.extend(_report_rows(config, mesh, case, p, hnr, solved))
+            reports.extend(_report_rows(case, hnr, solved))
     return reports
 
 
@@ -279,7 +281,7 @@ def _run_planewave(config: RunConfig):
                 mesh = mesh_cache[rings]
                 context = f"planewave, omega={omega:g}, p={p}, rings={rings}"
                 solved = solve(mesh, params, case.f, case.g, config.methods, context)
-                reports.extend(_report_rows(config, mesh, case, p, hnr, solved))
+                reports.extend(_report_rows(case, hnr, solved))
     return reports
 
 
@@ -337,30 +339,32 @@ def emit_csv(reports: list[ErrorReport], path: str | Path) -> Path:
 
 
 def parse_csv(path: str | Path) -> list[ErrorReport]:
-    """Read back a CSV written by emit_csv."""
+    """Read back a CSV written by emit_csv.
+
+    A malformed row raises a ValueError that names the file and line.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path} is not an experiment table")
     reports = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         try:
-            omega: float | str = float(parts[7])
-        except ValueError:
-            omega = parts[7]
-        reports.append(
-            ErrorReport(
-                method=parts[0],
-                p=int(parts[1]),
-                h=float(parts[2]),
-                hnr=int(parts[3]),
-                dofs=int(parts[4]),
-                l2error=float(parts[5]),
-                dgerror=float(parts[6]),
-                omega=omega,
-                dofspwl=float(parts[8]),
+            if len(parts) != 9:
+                raise ValueError(f"expected 9 fields, got {len(parts)}")
+            method, p, h, hnr, dofs, l2error, dgerror, omega, dofspwl = parts
+            try:
+                omega = float(omega)
+            except ValueError:
+                pass  # a label such as "5+sin(x)+y^2"
+            reports.append(
+                ErrorReport(
+                    method, int(p), float(h), int(hnr), int(dofs),
+                    float(l2error), float(dgerror), omega, float(dofspwl),
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
     return reports
 
 

@@ -28,11 +28,11 @@ import numpy as np
 from .dg_assembly import _source_values, omega_values
 from .mesh import Mesh
 from .polyspace import (
-    MAX_QUAD_ORDER,
+    _data_order,
     _element_mass_grams,
-    _monomial_tables,
-    map_rule_to_triangle,
-    quadrature_rule,
+    _element_tables,
+    _gram_order,
+    _volume_tables,
 )
 
 __all__ = [
@@ -98,17 +98,12 @@ def constraint_matrices(
         raise ValueError(f"constraint matrix needs p >= 2, got p={p}")
     if elements is None:
         elements = np.arange(mesh.n_elements)
-    tri = mesh.tri_coords[elements]
-    centers = mesh.incenters[elements]
-    scales = mesh.diameters[elements]
-    pts, w = map_rule_to_triangle(quadrature_rule(min(2 * p + 2, MAX_QUAD_ORDER)), tri)
-
-    trial = _monomial_tables(centers, scales, p, pts)
-    test_vals = _monomial_tables(centers, scales, p - 2, pts).values
+    trial, pts, w = _volume_tables(mesh, p, _gram_order(p), elements)
+    test_vals = _element_tables(mesh, elements, p - 2, pts).values
     om2 = omega_values(omega, pts) ** 2
     resid = -trial.laplacians - om2[..., None] * trial.values  # (E, Q, n)
     W = np.einsum("eqm,eqn,eq->emn", test_vals, resid, w)
-    return W * scales[:, None, None]
+    return W * mesh.diameters[elements][:, None, None]
 
 
 def _conj_t(a: np.ndarray) -> np.ndarray:
@@ -220,9 +215,9 @@ def all_local_rhs(mesh: Mesh, p: int, f: Callable) -> np.ndarray:
 
     A non-finite value of f raises a ValueError naming the element.
     """
-    order = min(2 * p + 6, MAX_QUAD_ORDER)
-    pts, w = map_rule_to_triangle(quadrature_rule(order), mesh.tri_coords)
-    test_vals = _monomial_tables(mesh.incenters, mesh.diameters, p - 2, pts).values
+    test, pts, w = _volume_tables(mesh, p - 2, _data_order(p))
+    test_vals = test.values
+    del test  # frees the power tables before f is evaluated
     fv = _source_values(f, pts)
     return mesh.diameters[:, None] * np.einsum("eqm,eq->em", test_vals, fv * w)
 

@@ -1,4 +1,11 @@
-"""Scaled monomial bases, bubble spaces, and triangle/edge quadrature.
+"""The element basis, its quadrature, and the tables built from them.
+
+This is the only module that knows the element basis, its frame
+(incenter and diameter) and its quadrature.  Assembly, the local
+constraints and the error norms take their tables from _volume_tables,
+_face_quadrature and _element_tables, at one of two rule orders:
+_gram_order(p) for products of two degree-p functions, _data_order(p)
+for data against one.  A new basis or rule is a change here alone.
 
 The basis on a triangle K with incenter c and diameter h is
 
@@ -246,15 +253,47 @@ def bubble_basis(mesh: Mesh, p: int, elements: np.ndarray | None = None) -> np.n
     return coeffs
 
 
+def _gram_order(p: int) -> int:
+    """Order of the rule for products of two degree-p basis functions: the
+    SIPDG Grams, the constraint W and the element Grams."""
+    return min(2 * p + 2, MAX_QUAD_ORDER)
+
+
+def _data_order(p: int) -> int:
+    """Order of the rule for data against the degree-p basis: the load
+    vector, the constraint moments and the error norms."""
+    return min(2 * p + 6, MAX_QUAD_ORDER)
+
+
+def _element_tables(mesh: Mesh, elements, p: int, points: np.ndarray) -> BasisEval:
+    """Degree-p tables at points (..., Q, 2), each in its element's frame;
+    elements (...) indexes the mesh's elements, as a slice or an array."""
+    centers, scales = mesh.incenters[elements], mesh.diameters[elements]
+    return _monomial_tables(centers, scales, p, points)
+
+
 def _volume_tables(
-    mesh: Mesh, p: int, elements=None
+    mesh: Mesh, p: int, order: int, elements=None
 ) -> tuple[BasisEval, np.ndarray, np.ndarray]:
-    """Degree-p tables, points and weights at the order-(2p+2) rule of the elements."""
+    """Degree-p tables, points and weights at the order-`order` rule of the elements.
+
+    elements defaults to all elements.
+    """
     sel = slice(None) if elements is None else elements
-    rule = quadrature_rule(min(2 * p + 2, MAX_QUAD_ORDER))
-    pts, w = map_rule_to_triangle(rule, mesh.tri_coords[sel])
-    ev = _monomial_tables(mesh.incenters[sel], mesh.diameters[sel], p, pts)
-    return ev, pts, w
+    pts, w = map_rule_to_triangle(quadrature_rule(order), mesh.tri_coords[sel])
+    return _element_tables(mesh, sel, p, pts), pts, w
+
+
+def _face_quadrature(faces, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points (..., M, 2) and weights (..., M) of the order-`order` edge rule.
+
+    faces maps "v0" and "v1" to the endpoints (..., 2) and "length" to
+    the lengths (...) of the segments, as the mesh's face dicts do.
+    """
+    rule = edge_quadrature_rule(order)
+    v0 = faces["v0"]
+    pts = v0[..., None, :] + rule.nodes[:, None] * (faces["v1"] - v0)[..., None, :]
+    return pts, rule.weights * faces["length"][..., None]
 
 
 # Largest temporary of _weighted_gram, in float64 entries (512 KB)
@@ -305,7 +344,7 @@ def _element_mass_grams(
     mesh: Mesh, p: int, elements: np.ndarray | None = None
 ) -> np.ndarray:
     """L2 Gram matrices of the degree-p basis, (E, n, n); all elements by default."""
-    ev, _, w = _volume_tables(mesh, p, elements)
+    ev, _, w = _volume_tables(mesh, p, _gram_order(p), elements)
     return np.einsum("eqi,eqj,eq->eij", ev.values, ev.values, w)
 
 
@@ -313,7 +352,7 @@ def _element_stiffness_grams(
     mesh: Mesh, p: int, elements: np.ndarray | None = None
 ) -> np.ndarray:
     """Gradient Gram matrices of the degree-p basis, (E, n, n)."""
-    ev, _, w = _volume_tables(mesh, p, elements)
+    ev, _, w = _volume_tables(mesh, p, _gram_order(p), elements)
     return _weighted_gram((ev.gx, ev.gy), w)
 
 
@@ -325,17 +364,16 @@ def _element_boundary_grams(
     The first holds the traces of the degree-p basis, the second their
     outward normal derivatives; each is the sum of its three edge terms.
     """
-    sel = slice(None) if elements is None else elements
-    rule = edge_quadrature_rule(min(2 * p + 2, MAX_QUAD_ORDER))
-    tri = mesh.tri_coords[sel]  # edge k runs from vertex k to vertex k+1
-    tang = np.roll(tri, -1, axis=1) - tri
+    if elements is None:
+        elements = np.arange(mesh.n_elements)
+    tri = mesh.tri_coords[elements]  # edge k runs from vertex k to vertex k+1
+    head = np.roll(tri, -1, axis=1)
+    tang = head - tri
     length = np.hypot(tang[..., 0], tang[..., 1])
     normal = np.stack([tang[..., 1], -tang[..., 0]], axis=-1) / length[..., None]
-    pts = tri[..., None, :] + rule.nodes[:, None] * tang[..., None, :]  # (E, 3, M, 2)
-    ev = _monomial_tables(
-        mesh.incenters[sel][:, None], mesh.diameters[sel][:, None], p, pts
-    )
-    w = rule.weights * length[..., None]
+    edges = {"v0": tri, "v1": head, "length": length}
+    pts, w = _face_quadrature(edges, _gram_order(p))  # (E, 3, M, 2), (E, 3, M)
+    ev = _element_tables(mesh, elements[:, None], p, pts)
     dn = (ev.gradients @ normal[:, :, None, :, None])[..., 0]
     return tuple(
         np.einsum("ekmi,ekmj,ekm->ekij", tr, tr, w).sum(axis=1)

@@ -62,6 +62,8 @@ __all__ = [
 
 RCOND_THRESHOLD = 1e-13
 REFINED_BACKWARD_ERROR = 1e-12
+# power steps of the sigma_max and sigma_min estimates
+_POWER_STEPS = 8
 
 
 class SingularSystemError(RuntimeError):
@@ -285,9 +287,7 @@ def _basis_apply(bases: list[np.ndarray], y: np.ndarray, sizes: np.ndarray) -> n
     return v.ravel()
 
 
-def _estimate_sigma_max(
-    A: sp.spmatrix, ordering: np.ndarray | None = None, iterations: int = 8
-) -> float:
+def _estimate_sigma_max(A: sp.spmatrix, ordering: np.ndarray | None = None) -> float:
     """Power estimate of ||A||_2; A^H w is formed as conj(A^T conj(w)),
     without a conjugated copy of A.  Given the ordering that A is in, the
     start vector is permuted with it, so the estimate is that of the
@@ -298,7 +298,7 @@ def _estimate_sigma_max(
     if ordering is not None:
         v = v[ordering]
     lam = 0.0
-    for _ in range(iterations):
+    for _ in range(_POWER_STEPS):
         w = (A.T @ (A @ v).conj()).conj()
         lam = np.linalg.norm(w)
         if lam == 0.0:
@@ -307,12 +307,12 @@ def _estimate_sigma_max(
     return float(np.sqrt(lam))
 
 
-def _estimate_sigma_min(lu, size: int, iterations: int = 8) -> float:
+def _estimate_sigma_min(lu, size: int) -> float:
     rng = np.random.default_rng(1)
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iterations):
+    for _ in range(_POWER_STEPS):
         w = lu.solve(lu.solve(v, "N"), "H")
         lam = np.linalg.norm(w)
         if lam == 0.0:

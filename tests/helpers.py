@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import sympy
 
 from helmtrefftz import local_trefftz
-from helmtrefftz.dg_assembly import _edge_points, interior_face_h, omega_values
+from helmtrefftz.dg_assembly import interior_face_h, omega_values
 from helmtrefftz.mesh import build_unit_disk_mesh, cross2, mesh_from_triangulation
 from helmtrefftz.polyspace import (
     MAX_QUAD_ORDER,
@@ -87,6 +87,15 @@ def reference_faces(vertices, triangles):
         arrays(interior, ("plus", "minus")),
         arrays(boundary, ("element",)),
     )
+
+
+def _edge_points(v0, v1, nodes):
+    """Quadrature points on segments: (F, M, 2) from endpoints (F, 2).
+
+    Written out here, not imported, so that the reference assembly shares
+    no face quadrature with the code it checks.
+    """
+    return v0[:, None, :] + nodes[None, :, None] * (v1 - v0)[:, None, :]
 
 
 def reference_assemble_sipdg(mesh, params):

@@ -7,7 +7,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the summary lines.
 The large-wavenumber threshold trend walks the planewave ladder at
 omega=100 up to 128 rings: its p=2 crossings need direct solves of up to
 491,520 dofs.  With the mesh's nested-dissection ordering a whole Tier-1
-run, that walk included, takes about 8.5 minutes and peaks near 3.2 GB of
+run, that walk included, takes about 8.5 minutes and peaks near 3.0 GB of
 RSS on a 2-core machine.  On a smaller host, lower
 HELMTREFFTZ_PLANEWAVE_DOF_CAP (default 600000); the criterion then fails,
 naming the degrees whose crossing the cap cut off.
@@ -121,17 +121,10 @@ def planewave_walks():
             if mesh is None:
                 mesh = build_unit_disk_mesh(rings)
             params = FormParameters(omega=omega, p=p)
-            config = RunConfig(
-                experiment="planewave",
-                methods=methods,
-                degrees=(p,),
-                omegas=(omega,),
-                dof_cap=PLANEWAVE_DOF_CAP,
-            )
             context = f"planewave walk, p={p}, rings={rings}"
             solved = solve(mesh, params, case.f, case.g, methods, context)
             hnr = len(walks[methods[0], p])
-            rows = _report_rows(config, mesh, case, p, hnr, solved)
+            rows = _report_rows(case, hnr, solved)
             for method, row in zip(methods, rows):
                 walks[method, p].append(row)
     return walks

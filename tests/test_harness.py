@@ -4,6 +4,7 @@ import pytest
 from helmtrefftz.cli import main
 from helmtrefftz.error_analysis import ErrorReport
 from helmtrefftz.harness import (
+    CSV_HEADER,
     METHOD_TAGS,
     RunConfig,
     emit_csv,
@@ -76,6 +77,32 @@ def test_csv_round_trip_with_omega_label(tmp_path):
     assert parse_csv(path) == [report]
 
 
+@pytest.mark.parametrize(
+    "row", ["etvol,3,0.25", "etvol,3,0.25,0,100,1e-3,1e-2,10.0,5.0,7"]
+)
+def test_parse_csv_rejects_wrong_field_count(tmp_path, row):
+    path = tmp_path / "short.csv"
+    path.write_text(CSV_HEADER + "\n" + row + "\n")
+    with pytest.raises(ValueError, match=rf"short\.csv, line 2: expected 9 fields"):
+        parse_csv(path)
+
+
+def test_parse_csv_names_the_line_of_a_bad_value(tmp_path):
+    path = tmp_path / "bad.csv"
+    good = "etvol,3,0.25,0,100,1e-3,1e-2,10.0,5.0"
+    path.write_text(CSV_HEADER + "\n" + good + "\n" + good.replace("100", "x") + "\n")
+    with pytest.raises(ValueError, match=r"bad\.csv, line 3: "):
+        parse_csv(path)
+
+
+def test_cli_summarize_rejects_short_row(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text(CSV_HEADER + "\netvol,3,0.25\n")
+    assert main(["summarize", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 2" in err
+
+
 def test_summarize_single_level():
     report = ErrorReport("etvol", 3, 0.25, 0, 100, 1e-3, 1e-2, 10.0, 5.0)
     table = summarize([report])
@@ -115,7 +142,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("quad_bump", -1), ("quad_bump", -20), ("dof_cap", 0), ("dof_cap", -1)],
+    [("dof_cap", 0), ("dof_cap", -1)],
 )
 def test_config_rejects_bad_bump_and_cap(field, value):
     # rejected before any rung is solved, naming the field
@@ -123,9 +150,34 @@ def test_config_rejects_bad_bump_and_cap(field, value):
         RunConfig(experiment="sinsin", degrees=(2,), **{field: value})
 
 
+def test_config_rejects_levels_for_sinsin():
+    # sinsin has one fixed mesh; a second level used to be dropped silently
+    with pytest.raises(ValueError, match="levels"):
+        RunConfig(experiment="sinsin", degrees=(2,), levels=3)
+    assert RunConfig(experiment="sinsin", levels=1).levels == 1
+
+
+@pytest.mark.parametrize("experiment", ["hankel", "sinsin", "varomega"])
+def test_config_rejects_omegas_outside_planewave(experiment):
+    # these experiments fix their wavenumber; omegas used to be ignored
+    with pytest.raises(ValueError, match="omegas"):
+        RunConfig(experiment=experiment, omegas=(55.0,))
+    assert RunConfig(experiment=experiment).omegas == ()
+
+
+def test_config_planewave_omegas_default():
+    assert RunConfig(experiment="planewave").omegas == (100.0,)
+    assert RunConfig(experiment="planewave", omegas=(40, 80)).omegas == (40.0, 80.0)
+
+
+def test_config_rejects_repeated_methods():
+    with pytest.raises(ValueError, match="methods"):
+        RunConfig(experiment="hankel", methods=("embedded", "embedded"))
+
+
 def test_config_accepts_smallest_bump_and_cap():
-    config = RunConfig(experiment="sinsin", quad_bump=0, dof_cap=1)
-    assert (config.quad_bump, config.dof_cap) == (0, 1)
+    config = RunConfig(experiment="sinsin", dof_cap=1)
+    assert config.dof_cap == 1
 
 
 def test_dof_budget_refusal():
@@ -213,7 +265,6 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         ("--omega", "nan", "omegas"),
         ("--omega", "-3", "omegas"),
         ("--alpha", "nan", "alpha"),
-        ("--quad-bump", "-8", "quad_bump"),
         ("--dof-cap", "-1", "dof_cap"),
     ],
 )
@@ -221,6 +272,25 @@ def test_cli_rejects_bad_parameters(tmp_path, capsys, option, value, field):
     out = tmp_path / "x.csv"
     code = main(
         ["run", "--experiment", "planewave", f"{option}={value}", "--out", str(out)]
+    )
+    assert code == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment,option,value,field",
+    [
+        ("hankel", "--omega", "55", "omegas"),
+        ("sinsin", "--levels", "2", "levels"),
+    ],
+)
+def test_cli_rejects_ignored_settings(
+    tmp_path, capsys, experiment, option, value, field
+):
+    out = tmp_path / "x.csv"
+    code = main(
+        ["run", "--experiment", experiment, f"{option}={value}", "--out", str(out)]
     )
     assert code == 1
     assert field in capsys.readouterr().err

@@ -1,5 +1,8 @@
+import ast
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +15,13 @@ from helmtrefftz.mesh import (
 from helmtrefftz import polyspace
 from helmtrefftz.polyspace import (
     MAX_QUAD_ORDER,
+    _data_order,
     _element_boundary_grams,
     _element_mass_grams,
     _element_stiffness_grams,
+    _element_tables,
+    _face_quadrature,
+    _gram_order,
     _monomial_tables,
     _volume_tables,
     _weighted_gram,
@@ -131,6 +138,73 @@ def test_monomial_tables_face_frames_bitwise(p):
             _monomial_tables(centers, scales, p, pts),
             closed_form_tables(centers, scales, p, pts),
         )
+
+
+@pytest.mark.parametrize("order", [1, 8, MAX_QUAD_ORDER])
+def test_face_quadrature_bitwise(order):
+    # the points v0 + t (v1 - v0) and weights w |F| of the unit-segment rule,
+    # for the mesh's face dicts and for stacked element edges
+    rule = edge_quadrature_rule(order)
+    for faces in (DISK.interior_faces, DISK.boundary_faces):
+        pts, w = _face_quadrature(faces, order)
+        v0, v1 = faces["v0"], faces["v1"]
+        expected = v0[:, None, :] + rule.nodes[None, :, None] * (v1 - v0)[:, None, :]
+        assert same_bits(pts, expected)
+        assert same_bits(w, rule.weights[None, :] * faces["length"][:, None])
+    tri = DISK.tri_coords
+    tang = np.roll(tri, -1, axis=1) - tri
+    length = np.hypot(tang[..., 0], tang[..., 1])
+    edges = {"v0": tri, "v1": np.roll(tri, -1, axis=1), "length": length}
+    pts, w = _face_quadrature(edges, order)
+    assert pts.shape == (DISK.n_elements, 3, len(rule.nodes), 2)
+    assert same_bits(pts, tri[..., None, :] + rule.nodes[:, None] * tang[..., None, :])
+    assert same_bits(w, rule.weights * length[..., None])
+
+
+@pytest.mark.parametrize("p", [0, 3, 8])
+def test_volume_and_element_tables_bitwise(p):
+    order = _data_order(p)
+    picked = np.array([5, 0, 17])
+    for elements in (None, picked):
+        sel = slice(None) if elements is None else elements
+        ev, pts, w = _volume_tables(DISK, p, order, elements)
+        rule = quadrature_rule(order)
+        ref_pts, ref_w = map_rule_to_triangle(rule, DISK.tri_coords[sel])
+        assert same_bits(pts, ref_pts) and same_bits(w, ref_w)
+        ref = _monomial_tables(DISK.incenters[sel], DISK.diameters[sel], p, ref_pts)
+        assert same_bits(ev.values, ref.values)
+        assert same_bits(ev.laplacians, ref.laplacians)
+        lower = _element_tables(DISK, sel, max(p - 2, 0), pts)
+        assert lower.values.shape == pts.shape[:-1] + (dim_poly(max(p - 2, 0)),)
+
+
+SOURCE = Path(polyspace.__file__).parent
+# the basis tables, the quadrature rules and their largest order
+BASIS_NAMES = (
+    "_monomial_tables",
+    "quadrature_rule",
+    "edge_quadrature_rule",
+    "map_rule_to_triangle",
+    "MAX_QUAD_ORDER",
+)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(f.name for f in SOURCE.glob("*.py") if f.name != "polyspace.py")
+)
+def test_only_polyspace_builds_the_basis_and_its_rules(module):
+    # every table and rule order comes from polyspace's helpers; the
+    # package __init__ may re-export the public rules by name only
+    text = (SOURCE / module).read_text()
+    if module == "__init__.py":
+        tree = ast.parse(text)
+        text = ast.unparse(
+            [n for n in tree.body if not isinstance(n, ast.ImportFrom)]
+        )
+    for name in BASIS_NAMES:
+        assert not re.search(rf"\b{name}\b", text), f"{module} names {name}"
+    orders = re.findall(r"2\s*\*\s*[\w.]+\s*\+\s*[26]\b", text)
+    assert not orders, f"{module} writes out a rule order: {orders}"
 
 
 @pytest.mark.parametrize("p", range(15))
@@ -268,7 +342,7 @@ def same_bits(a, b):
 def test_weighted_gram_bitwise_einsum(p, monkeypatch):
     # the einsum summation order, hence every CSV byte: per point the
     # component products, then the points in order from zero
-    ev, _, w = _volume_tables(DISK, p)  # 24 elements
+    ev, _, w = _volume_tables(DISK, p, _gram_order(p))  # 24 elements
     for table in (ev.gx, ev.gy):
         assert table.flags.c_contiguous
     assert np.array_equal(ev.gradients, np.stack([ev.gx, ev.gy], axis=-1))
