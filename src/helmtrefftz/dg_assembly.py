@@ -247,15 +247,17 @@ _ROW_TILE = 1 << 16
 def _sum_block_rows(segments, n_elements: int, n: int) -> sp.bsr_matrix:
     """Sum stacked element-pair blocks into a BSR matrix, blocksize (n, n).
 
-    segments is as for _block_triplets.  Block rows are converted in
-    tiles of at most _ROW_TILE duplicate entries (at least one block row)
-    by scipy's COO to CSR conversion; within a tile every row keeps the
-    relative order its entries have in the whole COO, so each sum is
-    bitwise that of converting the whole COO at once.  Row a of block
-    row k holds deg_k runs of n sorted columns, one per block column, so
-    the tile's CSR data moves into the BSR data by index arithmetic.
+    segments is as for _block_triplets; the matrix takes the blocks'
+    dtype.  Block rows are converted in tiles of at most _ROW_TILE
+    duplicate entries (at least one block row) by scipy's COO to CSR
+    conversion; within a tile every row keeps the relative order its
+    entries have in the whole COO, so each sum is bitwise that of
+    converting the whole COO at once.  The tile's CSR then moves into the
+    BSR data by scipy's own CSR to BSR conversion, which adds each entry
+    to a zeroed block: a copy, except that a -0.0 would turn into +0.0.
     """
     n_dofs = n_elements * n
+    dtype = np.result_type(*(blocks for blocks, _, _ in segments))
     # each segment's blocks by row element, face order kept among equals
     by_row = [np.argsort(row_elems, kind="stable") for _, row_elems, _ in segments]
     sorted_rows = [row_elems[o] for (_, row_elems, _), o in zip(segments, by_row)]
@@ -269,7 +271,7 @@ def _sum_block_rows(segments, n_elements: int, n: int) -> sp.bsr_matrix:
     idx_dtype = np.int32 if n_dofs < 2**31 else np.int64
     indptr = np.zeros(n_elements + 1, dtype=np.int64)
     np.cumsum(np.bincount(block_rows, minlength=n_elements), out=indptr[1:])
-    data = np.empty((len(keys), n, n), dtype=complex)
+    data = np.empty((len(keys), n, n), dtype=dtype)
     # duplicate entries up to the end of each block row
     ends = np.cumsum(
         sum(np.bincount(r, minlength=n_elements) for _, r, _ in segments)
@@ -283,17 +285,9 @@ def _sum_block_rows(segments, n_elements: int, n: int) -> sp.bsr_matrix:
             lo, hi = np.searchsorted(rows, (k0, k1))
             sel = order[lo:hi]
             tile.append((blocks[sel], rows[lo:hi] - k0, col_elems[sel]))
-        r, c, v = _block_triplets(tile, n, n_dofs, complex)
+        r, c, v = _block_triplets(tile, n, n_dofs, dtype)
         csr = sp.coo_matrix((v, (r, c)), shape=((k1 - k0) * n, n_dofs)).tocsr()
-        # block t of the tile: block row k, j-th block of that row
-        b0, b1 = indptr[k0], indptr[k1]
-        k = block_rows[b0:b1]
-        first, deg = indptr[k] - b0, indptr[k + 1] - indptr[k]
-        j = np.arange(b0, b1) - indptr[k]
-        at = (first * n * n + j * n)[:, None, None] + (
-            (deg * n)[:, None, None] * np.arange(n)[:, None] + np.arange(n)
-        )
-        data[b0:b1] = csr.data[at]
+        data[indptr[k0] : indptr[k1]] = csr.tobsr(blocksize=(n, n)).data
         k0 = k1
     A = sp.bsr_matrix(
         (data, block_cols.astype(idx_dtype), indptr.astype(idx_dtype)),

@@ -13,8 +13,9 @@ so jump terms involve the discrete field only.
 The three constant estimators are dense generalized eigenvalue
 diagnostics on single elements or small meshes; they are not meant for
 production-size inputs.  They take their element Grams from the batched
-builders of polyspace, on a one-element index array or on all elements,
-and scatter the face blocks of the broken norms as the assembly does.
+builders of polyspace, on a one-element index array or on all elements.
+The Grams of the broken norms are summed sparse by the assembly's own
+block sum; only the eigensolve makes them dense.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from .dg_assembly import _block_triplets, interior_face_h, omega_values
+from .dg_assembly import _sum_block_rows, interior_face_h, omega_values
 from .exact_solutions import ManufacturedCase
 from .local_trefftz import constraint_matrices
 from .mesh import Mesh
@@ -228,9 +230,8 @@ def estimate_local_coercivity(
 
 
 def _broken_grams(mesh: Mesh, p: int, omega: float):
-    """Dense Gram matrices of the DG norm and its sharpened variant."""
+    """Gram matrices of the DG norm and its sharpened variant, as BSR."""
     n = dim_poly(p)
-    total = mesh.n_elements * n
     elements = np.arange(mesh.n_elements)
     vol = _element_stiffness_grams(mesh, p) + omega**2 * _element_mass_grams(mesh, p)
 
@@ -259,12 +260,13 @@ def _broken_grams(mesh: Mesh, p: int, omega: float):
         (jump.reshape(-1, n, n), rows_of_jump, cols_of_jump),
         (impedance, el, el),
     ]
-    rows, cols, data = _block_triplets(segments, n, total, float)
-    g_dg = np.zeros((total, total))
-    np.add.at(g_dg, (rows, cols), data)
+    g_dg = _sum_block_rows(segments, mesh.n_elements, n)
     _, normal_derivs = _element_boundary_grams(mesh, p)
     extra = (mesh.diameters / p**2)[:, None, None] * normal_derivs
-    return g_dg, g_dg + scipy.linalg.block_diag(*extra)
+    sharp = sp.bsr_matrix(
+        (extra, elements, np.arange(mesh.n_elements + 1)), shape=g_dg.shape
+    )
+    return g_dg, g_dg + sharp
 
 
 def estimate_norm_equivalence(
@@ -280,7 +282,7 @@ def estimate_norm_equivalence(
         )
     if p < 1:
         raise ValueError("need p >= 1")
-    g_dg, g_sharp = _broken_grams(mesh, p, float(omega))
+    g_dg, g_sharp = (G.toarray() for G in _broken_grams(mesh, p, float(omega)))
     g_dg = 0.5 * (g_dg + g_dg.T)
     g_sharp = 0.5 * (g_sharp + g_sharp.T)
     try:

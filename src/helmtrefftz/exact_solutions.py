@@ -36,8 +36,6 @@ class ManufacturedCase:
     omega_representative feeds resolution measures.
     """
 
-    name: str
-    domain: str  # "square" | "disk"
     omega: float | Callable
     u: Callable
     grad_u: Callable
@@ -84,8 +82,6 @@ def hankel_case(omega: float = 10.0, source_point=(-0.25, 0.0)) -> ManufacturedC
         return np.zeros(np.asarray(points).shape[:-1], dtype=complex)
 
     return ManufacturedCase(
-        name="hankel",
-        domain="square",
         omega=float(omega),
         u=u,
         grad_u=grad_u,
@@ -112,8 +108,6 @@ def plane_wave_case(omega: float) -> ManufacturedCase:
         return np.zeros(np.asarray(points).shape[:-1], dtype=complex)
 
     return ManufacturedCase(
-        name="planewave",
-        domain="disk",
         omega=float(omega),
         u=u,
         grad_u=grad_u,
@@ -144,8 +138,6 @@ def sinsin_case(omega: float = 1.0) -> ManufacturedCase:
         return (2.0 * np.pi**2 - omega**2) * u(points)
 
     return ManufacturedCase(
-        name="sinsin",
-        domain="square",
         omega=float(omega),
         u=u,
         grad_u=grad_u,
@@ -194,8 +186,6 @@ def var_omega_case() -> ManufacturedCase:
     # representative value: omega at the domain center
     omega_center = 5.0 + np.sin(0.5) + 0.25
     return ManufacturedCase(
-        name="varomega",
-        domain="square",
         omega=omega,
         u=u,
         grad_u=grad_u,

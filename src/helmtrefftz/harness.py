@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .dg_assembly import FormParameters, assemble_rhs, assemble_sipdg
 from .error_analysis import ErrorReport, dg_error, dofs_per_wavelength, eoc, l2_error
 from .exact_solutions import (
@@ -126,6 +128,11 @@ class RunConfig:
             raise ValueError(
                 f"sinsin runs on one fixed mesh; levels must be 1, got levels={levels}"
             )
+        if self.experiment == "planewave" and levels > len(PLANEWAVE_RINGS_LADDER):
+            raise ValueError(
+                f"the planewave ladder has {len(PLANEWAVE_RINGS_LADDER)} meshes; "
+                f"levels must be at most that, got levels={levels}"
+            )
         object.__setattr__(self, "levels", levels)
         omegas = tuple(float(o) for o in self.omegas)
         if omegas and self.experiment != "planewave":
@@ -187,6 +194,7 @@ def solve(
                     b,
                     context=f"{context}, {method}",
                     bases=[mass_preconditioner(mass_grams)],
+                    sizes=np.full(mesh.n_elements, dim_poly(params.p)),
                     order=mesh.dissection_order,
                 )
             coeffs = broken
@@ -205,8 +213,7 @@ def solve(
                 mesh=mesh,
             )
             dofs = embedding.n_columns
-        tag = "embedded-trefftz" if method == "embedded" else "standard-dg"
-        out[method] = SolutionField(coeffs, params.p, mesh, tag, dofs)
+        out[method] = SolutionField(coeffs, params.p, mesh, dofs)
     return out
 
 

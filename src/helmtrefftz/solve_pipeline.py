@@ -23,12 +23,12 @@ order; at p = 12 that moves the round-off floor of the errors.  The
 Grams that assemble A keep einsum's order by the same rule (see
 dg_assembly and polyspace._weighted_gram).
 
-All linear systems use a direct sparse LU factorization, in the mesh's
-nested-dissection order when the mesh is known: the congruence writes
-each tile straight to its place in that order, into the CSC arrays that
-SuperLU factors, and only the COLAMD fallback rebuilds the natural order.
-A reciprocal condition estimate below 1e-13 raises SingularSystemError,
-which signals a mesh too coarse for the requested wavenumber.
+All linear systems use a direct sparse LU factorization in the mesh's
+nested-dissection order: the congruence writes each tile straight to its
+place in that order, into the CSC arrays that SuperLU factors, and the
+COLAMD fallback factors that same matrix.  A reciprocal condition
+estimate below 1e-13 raises SingularSystemError, which signals a mesh
+too coarse for the requested wavenumber.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class SolutionField:
     coefficients: np.ndarray
     degree: int
     mesh: Mesh
-    method: str  # "embedded-trefftz" | "standard-dg"
     dofs: int
 
 
@@ -232,7 +231,7 @@ def _block_congruence(
     data = np.empty(indptr[-1], dtype=complex)
     indices = np.empty(indptr[-1], dtype=index_dtype)
     transposed = [np.ascontiguousarray(T.swapaxes(1, 2)) for T in bases]
-    idx = np.arange(bases[-1].shape[2] if bases else n)
+    idx = np.arange(bases[-1].shape[2])
     step = max(1, _CONGRUENCE_TILE // (n * n))
     for t in range(0, len(cols), step):
         r, c = rows[t : t + step], cols[t : t + step]
@@ -279,7 +278,7 @@ def _basis_transpose_apply(
 
 def _basis_apply(bases: list[np.ndarray], y: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """T y for T as in _block_congruence; bitwise the sparse product."""
-    width = bases[-1].shape[2] if bases else 1
+    width = bases[-1].shape[2]
     v = np.zeros((len(sizes), width), dtype=complex)
     v[np.arange(width) < sizes[:, None]] = y
     for T in reversed(bases):
@@ -287,16 +286,15 @@ def _basis_apply(bases: list[np.ndarray], y: np.ndarray, sizes: np.ndarray) -> n
     return v.ravel()
 
 
-def _estimate_sigma_max(A: sp.spmatrix, ordering: np.ndarray | None = None) -> float:
+def _estimate_sigma_max(A: sp.spmatrix, ordering: np.ndarray) -> float:
     """Power estimate of ||A||_2; A^H w is formed as conj(A^T conj(w)),
-    without a conjugated copy of A.  Given the ordering that A is in, the
-    start vector is permuted with it, so the estimate is that of the
+    without a conjugated copy of A.  The start vector is permuted with
+    the ordering that A is in, so the estimate is that of the
     natural-order matrix up to the rounding of the sums."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
-    if ordering is not None:
-        v = v[ordering]
+    v = v[ordering]
     lam = 0.0
     for _ in range(_POWER_STEPS):
         w = (A.T @ (A @ v).conj()).conj()
@@ -364,74 +362,55 @@ def _direct_solve(
     A: sp.spmatrix,
     b: np.ndarray,
     context: str,
-    bases: Sequence[np.ndarray] = (),
-    sizes: np.ndarray | None = None,
-    order: np.ndarray | None = None,
+    bases: Sequence[np.ndarray],
+    sizes: np.ndarray,
+    order: np.ndarray,
 ) -> np.ndarray:
     """Sparse direct solve guarded by a reciprocal condition estimate.
 
     Solves T^T A T y = T^T b and returns T y, for the block-diagonal basis
     change T = bases[0] bases[1] ... over A's element blocks (see
     _block_congruence, mass_preconditioner, embedding_preconditioner);
-    sizes[k] is the number of columns of element k, by default all of
-    the last basis.  Without bases every dof is an element of its own
-    and T = I.
+    sizes[k] is the number of columns of element k.
 
-    Given an element order (the mesh's dissection order), T^T A T is
-    streamed in that order and factored as it is, with diagonal pivots.
-    Without one, or when that factorization fails, trips the guard or
-    leaves a refined backward error above REFINED_BACKWARD_ERROR, SuperLU
-    factors the natural-order matrix with its COLAMD ordering and partial
-    pivoting; only that guard raises SingularSystemError.  Only this
-    fallback rebuilds the natural order, by permuting the ordered matrix.
+    T^T A T is streamed in the element order given (the mesh's dissection
+    order) and factored as it is, with diagonal pivots.  When that
+    factorization fails, trips the guard or leaves a refined backward
+    error above REFINED_BACKWARD_ERROR, SuperLU factors the same matrix
+    again with its COLAMD column order and partial pivoting; only that
+    guard raises SingularSystemError.
     """
-    if sizes is None and bases:
-        sizes = np.full(len(bases[-1]), bases[-1].shape[2])
-    elif sizes is None:
-        sizes = np.ones(A.shape[0], dtype=int)
-    if order is None:
-        ordering = None
-        M = _block_congruence(A, bases, sizes, np.arange(len(sizes)))
-    else:
-        ordering = _block_ordering(order, sizes)
-        M = _block_congruence(A, bases, sizes, order)
-    rhs = _basis_transpose_apply(bases, b, sizes)
+    ordering = _block_ordering(order, sizes)
+    M = _block_congruence(A, bases, sizes, order)
+    rhs = _basis_transpose_apply(bases, b, sizes)[ordering]
     sigma_max = _estimate_sigma_max(M, ordering)
-    x = None
-    if ordering is not None:
+    try:
+        y, _, backward = _guarded_lu_solve(
+            M,
+            rhs,
+            sigma_max,
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:
+        y = None
+    if y is None or not backward <= REFINED_BACKWARD_ERROR:
         try:
-            y, _, backward = _guarded_lu_solve(
-                M,
-                rhs[ordering],
-                sigma_max,
-                permc_spec="NATURAL",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError:
-            y = None
-        if y is not None and backward <= REFINED_BACKWARD_ERROR:
-            x = np.empty_like(y)
-            x[ordering] = y
-        else:
-            inverse = np.empty_like(ordering)
-            inverse[ordering] = np.arange(len(ordering))
-            M = sp.csc_matrix(M[inverse][:, inverse])
-            M.sort_indices()
-    if x is None:
-        try:
-            x, sigma_min, _ = _guarded_lu_solve(M, rhs, sigma_max)
+            y, sigma_min, _ = _guarded_lu_solve(M, rhs, sigma_max)
         except RuntimeError as exc:
             raise SingularSystemError(
                 0.0, f"singular matrix ({context}): {exc}"
             ) from exc
-        if x is None:
+        if y is None:
             raise SingularSystemError(
                 sigma_min,
                 f"near-singular matrix ({context}): sigma_min~{sigma_min:.3e}, "
                 f"rcond~{sigma_min / sigma_max:.3e}; the mesh is likely too coarse "
                 "for this wavenumber",
             )
+    x = np.empty_like(y)
+    x[ordering] = y
     return _basis_apply(bases, x, sizes)
 
 

@@ -1,14 +1,22 @@
 """Shared fixtures-in-spirit: meshes, projections and manufactured polynomial data."""
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 import sympy
 
 from helmtrefftz import local_trefftz
-from helmtrefftz.dg_assembly import interior_face_h, omega_values
+from helmtrefftz.dg_assembly import _block_triplets, interior_face_h, omega_values
 from helmtrefftz.mesh import build_unit_disk_mesh, cross2, mesh_from_triangulation
 from helmtrefftz.polyspace import (
     MAX_QUAD_ORDER,
+    _element_boundary_grams,
+    _element_mass_grams,
+    _element_stiffness_grams,
+    _element_tables,
+    _face_quadrature,
+    _gram_order,
     _monomial_tables,
     dim_poly,
     edge_quadrature_rule,
@@ -186,6 +194,68 @@ def reference_block_congruence(A, bases, sizes):
     M = sp.csc_matrix((values[keep], (r, c)), shape=(offsets[-1],) * 2)
     M.eliminate_zeros()
     return M
+
+
+def _basis_matrix(bases, sizes):
+    """The block-diagonal T = bases[0] bases[1] ... as a sparse matrix:
+    element k has bases[0].shape[1] rows and sizes[k] columns in T, and
+    sizes[k] rows and columns in each later basis."""
+    rows = np.full(len(sizes), bases[0].shape[1])
+    T = block_diag_matrix(bases[0], rows, sizes)
+    for blocks in bases[1:]:
+        T = T @ block_diag_matrix(blocks, sizes, sizes)
+    return T
+
+
+def reference_colamd_solve(A, b, bases, sizes):
+    """T y for T^T A T y = T^T b in the natural element order, factored
+    by SuperLU with its COLAMD order and partial pivoting: the reference
+    for the dissection-order solve of solve_pipeline._direct_solve."""
+    M = reference_block_congruence(A, bases, sizes)
+    M.sort_indices()
+    T = _basis_matrix(bases, sizes)
+    return T @ spla.splu(M).solve(T.T @ np.asarray(b, dtype=complex))
+
+
+def reference_broken_grams(mesh, p, omega):
+    """Dense Grams of the DG norm and its sharpened variant, every block
+    scattered with np.add.at into an (E n)^2 array: the reference for the
+    sparse error_analysis._broken_grams."""
+    n = dim_poly(p)
+    total = mesh.n_elements * n
+    elements = np.arange(mesh.n_elements)
+    vol = _element_stiffness_grams(mesh, p) + omega**2 * _element_mass_grams(mesh, p)
+
+    fa = mesh.interior_faces
+    pts, wts = _face_quadrature(fa, _gram_order(p))
+    sides = np.stack([fa["plus"], fa["minus"]], axis=1)  # (F, 2)
+    traces = np.stack(
+        [_element_tables(mesh, el, p, pts).values for el in sides.T], axis=1
+    )  # (F, 2, M, n)
+    sign = np.array([1.0, -1.0])
+    weight = (p**2 / interior_face_h(mesh))[:, None, None] * sign[:, None] * sign
+    jump = np.einsum("fsmi,ftmj,fm->fstij", traces, traces, wts)
+    jump *= weight[..., None, None]
+
+    fb = mesh.boundary_faces
+    pts, wts = _face_quadrature(fb, _gram_order(p))
+    el = fb["element"]
+    tr = _element_tables(mesh, el, p, pts).values
+    impedance = omega * np.einsum("fmi,fmj,fm->fij", tr, tr, wts)
+
+    rows_of_jump = np.repeat(sides, 2, axis=1).ravel()
+    cols_of_jump = np.tile(sides, 2).ravel()
+    segments = [
+        (vol, elements, elements),
+        (jump.reshape(-1, n, n), rows_of_jump, cols_of_jump),
+        (impedance, el, el),
+    ]
+    rows, cols, data = _block_triplets(segments, n, total, float)
+    g_dg = np.zeros((total, total))
+    np.add.at(g_dg, (rows, cols), data)
+    _, normal_derivs = _element_boundary_grams(mesh, p)
+    extra = (mesh.diameters / p**2)[:, None, None] * normal_derivs
+    return g_dg, g_dg + scipy.linalg.block_diag(*extra)
 
 
 def shuffled_jittered_disk(rings=3, seed=0):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helmtrefftz import error_analysis
 from helmtrefftz.dg_assembly import FormParameters
@@ -13,10 +14,19 @@ from helmtrefftz.error_analysis import (
     l2_error,
 )
 from helmtrefftz.exact_solutions import ManufacturedCase, sinsin_case
-from helmtrefftz.mesh import build_unit_square_mesh, mesh_from_triangulation
+from helmtrefftz.mesh import (
+    build_unit_disk_mesh,
+    build_unit_square_mesh,
+    mesh_from_triangulation,
+)
 from helmtrefftz.harness import solve
 from helmtrefftz.solve_pipeline import SolutionField
-from helpers import element_tables, polynomial_problem, project
+from helpers import (
+    element_tables,
+    polynomial_problem,
+    project,
+    reference_broken_grams,
+)
 
 REFERENCE_TRIANGLE = mesh_from_triangulation(
     np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]])
@@ -37,8 +47,6 @@ def constant_case(omega=2.0, value=0.0):
         return -(omega**2) * u(pts)
 
     return ManufacturedCase(
-        name="constant",
-        domain="square",
         omega=float(omega),
         u=u,
         grad_u=grad_u,
@@ -48,9 +56,9 @@ def constant_case(omega=2.0, value=0.0):
     )
 
 
-def field_from_function(mesh, p, func, method="standard-dg"):
+def field_from_function(mesh, p, func):
     coeffs = project(mesh, p, func)
-    return SolutionField(coeffs, p, mesh, method, coeffs.size)
+    return SolutionField(coeffs, p, mesh, coeffs.size)
 
 
 def test_l2_error_zero_for_projected_polynomial():
@@ -59,8 +67,6 @@ def test_l2_error_zero_for_projected_polynomial():
     u_cb, _, _ = polynomial_problem(p, omega)
     case = constant_case(omega)
     case = ManufacturedCase(
-        name="poly",
-        domain="square",
         omega=omega,
         u=u_cb,
         grad_u=case.grad_u,
@@ -83,7 +89,6 @@ def test_l2_error_shift_bound():
         + np.tile(np.eye(1, 10, 0).ravel() * c, mesh.n_elements),
         3,
         mesh,
-        "standard-dg",
         field.dofs,
     )
     assert l2_error(shifted, case) <= base + c * np.sqrt(mesh.domain_area) + 1e-12
@@ -133,7 +138,7 @@ def test_dg_error_single_face_jump_additivity():
     plus, minus = fa["plus"][0], fa["minus"][0]
     if plus == 1:
         coeffs = np.roll(coeffs, 6)
-    field = SolutionField(coeffs, p, mesh, "standard-dg", coeffs.size)
+    field = SolutionField(coeffs, p, mesh, coeffs.size)
     h_face = 0.5 * (mesh.diameters[plus] + mesh.diameters[minus])
     area = mesh.areas[plus]
     bdry_len = fb["length"][fb["element"] == plus].sum()
@@ -210,6 +215,33 @@ def test_norm_equivalence_bounded_over_degrees():
     mesh = build_unit_square_mesh(2)  # 8 elements
     values = [estimate_norm_equivalence(mesh, p).value for p in range(2, 7)]
     assert max(values) / min(values) <= 1.5
+
+
+@pytest.mark.parametrize(
+    "make_mesh",
+    [
+        lambda: build_unit_square_mesh(2),
+        lambda: build_unit_square_mesh(4),
+        lambda: build_unit_disk_mesh(2),
+    ],
+    ids=["square2", "square4", "disk2"],
+)
+def test_sparse_broken_grams_match_dense_scatter(make_mesh):
+    # the block sum of the assembly adds each entry in another order than
+    # np.add.at: the Grams agree to 1e-14 of their largest entry, and C*
+    # to 1e-11 relative
+    mesh = make_mesh()
+    for p in range(1, 7):
+        for omega in (1.0, 7.0):
+            sparse = error_analysis._broken_grams(mesh, p, omega)
+            dense = reference_broken_grams(mesh, p, omega)
+            for G, R in zip(sparse, dense):
+                assert G.format == "bsr" and G.dtype == np.float64
+                assert np.abs(G.toarray() - R).max() <= 1e-14 * np.abs(R).max()
+            g_dg, g_sharp = (0.5 * (R + R.T) for R in dense)
+            lam = scipy.linalg.eigh(g_sharp, g_dg, eigvals_only=True)
+            value = estimate_norm_equivalence(mesh, p, omega).value
+            assert value == pytest.approx(np.sqrt(lam[-1]), rel=1e-11)
 
 
 def test_norm_equivalence_rejects_large_mesh():

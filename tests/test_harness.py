@@ -6,6 +6,7 @@ from helmtrefftz.error_analysis import ErrorReport
 from helmtrefftz.harness import (
     CSV_HEADER,
     METHOD_TAGS,
+    PLANEWAVE_RINGS_LADDER,
     RunConfig,
     emit_csv,
     parse_csv,
@@ -157,6 +158,16 @@ def test_config_rejects_levels_for_sinsin():
     assert RunConfig(experiment="sinsin", levels=1).levels == 1
 
 
+def test_config_rejects_levels_beyond_the_planewave_ladder():
+    # a run solves at most the ladder's meshes; more levels used to be
+    # dropped silently
+    ladder = len(PLANEWAVE_RINGS_LADDER)
+    assert ladder == 14
+    with pytest.raises(ValueError, match="levels=15"):
+        RunConfig(experiment="planewave", levels=ladder + 1)
+    assert RunConfig(experiment="planewave", levels=ladder).levels == ladder
+
+
 @pytest.mark.parametrize("experiment", ["hankel", "sinsin", "varomega"])
 def test_config_rejects_omegas_outside_planewave(experiment):
     # these experiments fix their wavenumber; omegas used to be ignored
@@ -283,6 +294,7 @@ def test_cli_rejects_bad_parameters(tmp_path, capsys, option, value, field):
     [
         ("hankel", "--omega", "55", "omegas"),
         ("sinsin", "--levels", "2", "levels"),
+        ("planewave", "--levels", "15", "levels"),
     ],
 )
 def test_cli_rejects_ignored_settings(
@@ -295,6 +307,15 @@ def test_cli_rejects_ignored_settings(
     assert code == 1
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_accepts_the_whole_planewave_ladder(tmp_path):
+    # all 14 levels are accepted; the dof cap keeps only the 4-ring mesh
+    out = tmp_path / "x.csv"
+    argv = ["run", "--experiment", "planewave", "--levels", "14", "--p", "1"]
+    argv += ["--methods", "standard", "--dof-cap", "288", "--out", str(out)]
+    assert main(argv) == 0
+    assert [r.hnr for r in parse_csv(out)] == [0]
 
 
 def test_cli_solver_failure_names_the_rung_once(tmp_path, capsys):

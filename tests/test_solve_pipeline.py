@@ -1,5 +1,7 @@
+import runpy
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from helmtrefftz.dg_assembly import (
     omega_values,
 )
 from helmtrefftz.exact_solutions import plane_wave_case, var_omega_case
-from helmtrefftz.harness import solve
+from helmtrefftz.harness import RunConfig, run_experiment, solve
 from helmtrefftz.local_trefftz import (
     KernelDimensionWarning,
     all_local_rhs,
@@ -45,6 +47,7 @@ from helpers import (
     project,
     reference_assemble_sipdg,
     reference_block_congruence,
+    reference_colamd_solve,
     refine,
     residual,
     shuffled_jittered_disk,
@@ -107,7 +110,6 @@ def test_p1_methods_agree(splu_calls):
     fields = solve(mesh, params, zero_f, g)
     assert len(splu_calls) == 1
     a, b = fields["standard"], fields["embedded"]
-    assert (a.method, b.method) == ("standard-dg", "embedded-trefftz")
     assert np.array_equal(a.coefficients, b.coefficients)
     assert a.dofs == b.dofs == 54
 
@@ -318,7 +320,7 @@ def test_sigma_max_estimate_without_adjoint_copy():
         w = AH @ (A @ v)
         lam = np.linalg.norm(w)
         v = w / lam
-    assert _estimate_sigma_max(A) == np.sqrt(lam)
+    assert _estimate_sigma_max(A, np.arange(300)) == np.sqrt(lam)
 
     ordering = np.random.default_rng(6).permutation(300)
     permuted = sp.csc_matrix(A[ordering][:, ordering])
@@ -442,20 +444,31 @@ def test_solve_rejects_degree_below_one_and_unknown_methods():
         solve(mesh, FormParameters(omega=2.0, p=2), zero_f, zero_g, ("trefftz",))
 
 
+def _scalar_blocks(size):
+    """Bases, sizes and order that make every dof an element of its own,
+    with T = I."""
+    return [np.ones((size, 1, 1))], np.ones(size, dtype=int), np.arange(size)
+
+
 def test_singular_matrix_reported():
     # a zero row makes the factorization fail legibly
     A = sp.identity(10, format="csc", dtype=complex).tolil()
     A[4, 4] = 0.0
     with pytest.raises(SingularSystemError):
-        _direct_solve(A.tocsc(), np.ones(10, dtype=complex), context="test")
+        _direct_solve(
+            A.tobsr(blocksize=(1, 1)),
+            np.ones(10, dtype=complex),
+            "test",
+            *_scalar_blocks(10),
+        )
 
 
 def test_near_singular_matrix_reported():
     diag = np.ones(20, dtype=complex)
     diag[-1] = 1e-15
-    A = sp.diags(diag, format="csc")
+    A = sp.diags(diag).tobsr(blocksize=(1, 1))
     with pytest.raises(SingularSystemError) as info:
-        _direct_solve(A, np.ones(20, dtype=complex), context="test")
+        _direct_solve(A, np.ones(20, dtype=complex), "test", *_scalar_blocks(20))
     assert info.value.sigma_min < 1e-13
 
 
@@ -477,7 +490,8 @@ def splu_calls(monkeypatch):
 
 @pytest.mark.parametrize("method", ["standard", "embedded"])
 def test_dissection_ordering_matches_colamd(method, splu_calls):
-    # the mesh ordering changes rounding only, and needs less fill
+    # the mesh ordering changes rounding only, and needs less fill than
+    # COLAMD on the natural-order matrix
     mesh = build_unit_disk_mesh(6)
     p, omega = 3, 20.0
     case = plane_wave_case(omega)
@@ -485,11 +499,10 @@ def test_dissection_ordering_matches_colamd(method, splu_calls):
     A = assemble_sipdg(mesh, params)
     b = assemble_rhs(mesh, params, case.f, case.g)
     if method == "standard":
-        precond = mass_preconditioner(_element_mass_grams(mesh, p))
-        ordered = _direct_solve(
-            A, b, "test", bases=[precond], order=mesh.dissection_order
-        )
-        reference = _direct_solve(A, b, "test", bases=[precond])
+        bases = [mass_preconditioner(_element_mass_grams(mesh, p))]
+        sizes = np.full(mesh.n_elements, dim_poly(p))
+        ordered = _direct_solve(A, b, "test", bases, sizes, mesh.dissection_order)
+        reference = reference_colamd_solve(A, b, bases, sizes)
     else:
         local = all_local_trefftz(mesh, p, omega)
         emb = build_global_embedding(local)
@@ -497,7 +510,7 @@ def test_dissection_ordering_matches_colamd(method, splu_calls):
         precond = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
         ordered = solve_reduced_system(A, b, emb, u_f, "test", precond, mesh)
         bases, dims = [emb.blocks, precond], np.diff(emb.column_offsets)
-        reference = _direct_solve(A, b - A @ u_f, "test", bases, dims) + u_f
+        reference = reference_colamd_solve(A, b - A @ u_f, bases, dims) + u_f
     assert np.linalg.norm(ordered - reference) <= 1e-10 * np.linalg.norm(reference)
     (nd, nd_fill, _), (colamd, colamd_fill, _) = splu_calls
     assert (nd, colamd) == ("NATURAL", "COLAMD")
@@ -505,10 +518,12 @@ def test_dissection_ordering_matches_colamd(method, splu_calls):
 
 
 @pytest.mark.parametrize("method", ["standard", "embedded"])
-def test_fallback_factors_the_natural_order_matrix(method, splu_calls, monkeypatch):
-    # a rejected dissection-order solve falls back to COLAMD on the
-    # natural-order matrix, rebuilt from the ordered one bit for bit, and
-    # returns the solution of the solve without a mesh order
+def test_fallback_refactors_the_dissection_order_matrix(
+    method, splu_calls, monkeypatch
+):
+    # a rejected dissection-order solve falls back to COLAMD with partial
+    # pivoting on the very matrix it factored first, without a permuted
+    # copy, and returns the natural-order solution
     monkeypatch.setattr(solve_pipeline, "REFINED_BACKWARD_ERROR", -1.0)
     mesh = build_unit_disk_mesh(3)
     p, omega = 3, 20.0
@@ -518,17 +533,14 @@ def test_fallback_factors_the_natural_order_matrix(method, splu_calls, monkeypat
     else:
         A, bases, sizes = _embedded_case(mesh, p, omega)
     b = assemble_rhs(mesh, FormParameters(omega=omega, p=p), case.f, case.g)
-    x = _direct_solve(A, b, "test", bases, sizes, order=mesh.dissection_order)
-    reference = _direct_solve(A, b, "test", bases, sizes)
-    assert [spec for spec, *_ in splu_calls] == ["NATURAL", "COLAMD", "COLAMD"]
-    natural = reference_block_congruence(A, bases, sizes)
-    natural.sort_indices()
-    colamd = splu_calls[1][2]
-    colamd.sort_indices()
-    assert np.array_equal(colamd.indptr, natural.indptr)
-    assert np.array_equal(colamd.indices, natural.indices)
-    assert np.array_equal(colamd.data, natural.data)
-    assert np.array_equal(x, reference)
+    x = _direct_solve(A, b, "test", bases, sizes, mesh.dissection_order)
+    assert [spec for spec, *_ in splu_calls] == ["NATURAL", "COLAMD"]
+    (_, _, first), (_, _, second) = splu_calls
+    assert np.array_equal(second.indptr, first.indptr)
+    assert np.array_equal(second.indices, first.indices)
+    assert np.array_equal(second.data.view(np.int64), first.data.view(np.int64))
+    reference = reference_colamd_solve(A, b, bases, sizes)
+    assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
 
 
 def test_unpivoted_breakdown_falls_back_to_partial_pivoting(splu_calls):
@@ -541,6 +553,36 @@ def test_unpivoted_breakdown_falls_back_to_partial_pivoting(splu_calls):
     M[0, 0] = 1e-20
     A = sp.csc_matrix(M, dtype=complex)
     x_true = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    x = _direct_solve(A, A @ x_true, "test", order=np.arange(8))
+    x = _direct_solve(
+        A.tobsr(blocksize=(1, 1)), A @ x_true, "test", *_scalar_blocks(8)
+    )
     assert [spec for spec, *_ in splu_calls] == ["NATURAL", "COLAMD"]
     assert np.linalg.norm(x - x_true) <= 1e-12 * np.linalg.norm(x_true)
+
+
+BENCHMARK_WORKLOADS = runpy.run_path(
+    str(Path(__file__).resolve().parent.parent / "perfbench" / "run.py")
+)["WORKLOADS"]
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
+def test_benchmark_rungs_take_no_fallback(workload, monkeypatch):
+    # every benchmark rung is solved in dissection order with diagonal
+    # pivots alone, so the fallback cannot move a byte of its CSV
+    specs, rconds = [], []
+    splu, guarded = spla.splu, solve_pipeline._guarded_lu_solve
+
+    def splu_spy(A, *args, **kwargs):
+        specs.append(kwargs.get("permc_spec", "COLAMD"))
+        return splu(A, *args, **kwargs)
+
+    def guarded_spy(M, rhs, sigma_max, **options):
+        x, sigma_min, backward = guarded(M, rhs, sigma_max, **options)
+        rconds.append(sigma_min / sigma_max)
+        return x, sigma_min, backward
+
+    monkeypatch.setattr(spla, "splu", splu_spy)
+    monkeypatch.setattr(solve_pipeline, "_guarded_lu_solve", guarded_spy)
+    run_experiment(RunConfig(**BENCHMARK_WORKLOADS[workload]))
+    assert specs and set(specs) == {"NATURAL"}
+    print(f"{workload}: smallest rcond estimate {min(rconds):.3g}")
