@@ -1,9 +1,7 @@
 """Embedded Trefftz DG and SIPDG solvers for the 2D Helmholtz problem."""
 
-from .bessel import hankel1_0, hankel1_1, j0_y0, j1_y1
 from .dg_assembly import FormParameters, assemble_rhs, assemble_sipdg
 from .error_analysis import (
-    ConstantEstimate,
     ErrorReport,
     dg_error,
     dofs_per_wavelength,

@@ -46,7 +46,6 @@ from .solve_pipeline import SolutionField
 
 __all__ = [
     "ErrorReport",
-    "ConstantEstimate",
     "l2_error",
     "dg_error",
     "eoc",
@@ -72,17 +71,6 @@ class ErrorReport:
     dgerror: float
     omega: float | str
     dofspwl: float
-
-
-@dataclass(frozen=True)
-class ConstantEstimate:
-    """Numerically estimated analysis constant."""
-
-    name: str  # "sigma_min_local" | "c_star" | "inverse_trace"
-    value: float
-    p: int
-    omega: float
-    h: float
 
 
 def _field_volume_data(field: SolutionField):
@@ -184,9 +172,7 @@ def _local_dg_gram(mesh: Mesh, element: int, p: int, omega: float) -> np.ndarray
     return gram
 
 
-def estimate_local_coercivity(
-    mesh: Mesh, element: int, p: int, omega: float
-) -> ConstantEstimate:
+def estimate_local_coercivity(mesh: Mesh, element: int, p: int, omega: float) -> float:
     """Smallest singular value of the local constraint on the bubble space.
 
     Measures the constraint operator from the dual of the weighted test
@@ -220,13 +206,7 @@ def estimate_local_coercivity(
         raise np.linalg.LinAlgError(
             f"local DG Gram not positive definite on element {element}: {exc}"
         ) from exc
-    return ConstantEstimate(
-        name="sigma_min_local",
-        value=float(np.sqrt(max(lam[0], 0.0))),
-        p=p,
-        omega=float(omega),
-        h=h,
-    )
+    return float(np.sqrt(max(lam[0], 0.0)))
 
 
 def _broken_grams(mesh: Mesh, p: int, omega: float):
@@ -269,9 +249,7 @@ def _broken_grams(mesh: Mesh, p: int, omega: float):
     return g_dg, g_dg + sharp
 
 
-def estimate_norm_equivalence(
-    mesh: Mesh, p: int, omega: float = 1.0
-) -> ConstantEstimate:
+def estimate_norm_equivalence(mesh: Mesh, p: int, omega: float = 1.0) -> float:
     """Largest ratio of the sharpened norm to the DG norm over V_h.
 
     Dense eigensolve; meshes beyond 32 elements are rejected.
@@ -289,16 +267,10 @@ def estimate_norm_equivalence(
         lam = scipy.linalg.eigh(g_sharp, g_dg, eigvals_only=True)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise np.linalg.LinAlgError(f"DG-norm Gram not positive definite: {exc}") from exc
-    return ConstantEstimate(
-        name="c_star",
-        value=float(np.sqrt(lam[-1])),
-        p=p,
-        omega=float(omega),
-        h=mesh.max_diameter,
-    )
+    return float(np.sqrt(lam[-1]))
 
 
-def estimate_inverse_trace(mesh: Mesh, element: int, p: int) -> ConstantEstimate:
+def estimate_inverse_trace(mesh: Mesh, element: int, p: int) -> float:
     """Largest value of ||u||_dK sqrt(h_K) / (p ||u||_K) over degree-p u."""
     if p < 1:
         raise ValueError("need p >= 1")
@@ -309,8 +281,4 @@ def estimate_inverse_trace(mesh: Mesh, element: int, p: int) -> ConstantEstimate
     lam = scipy.linalg.eigh(
         0.5 * (bdry + bdry.T), 0.5 * (mass + mass.T), eigvals_only=True
     )
-    h = float(mesh.diameters[element])
-    value = np.sqrt(lam[-1] * h) / p
-    return ConstantEstimate(
-        name="inverse_trace", value=float(value), p=p, omega=0.0, h=h
-    )
+    return float(np.sqrt(lam[-1] * mesh.diameters[element]) / p)

@@ -168,12 +168,26 @@ def mesh_from_triangulation(
 ) -> Mesh:
     """Build a Mesh from raw arrays, deriving the face topology.
 
-    Raises ValueError on non-finite vertex coordinates, on
-    non-counterclockwise or degenerate triangles, or if an edge is shared
-    by more than two triangles.
+    Raises ValueError on arrays not shaped (Nv, 2) and (Nt, 3), on a
+    triangle whose vertex indices are not integers in [0, Nv), on
+    non-finite vertex coordinates, on non-counterclockwise or degenerate
+    triangles, or if an edge is shared by more than two triangles.
     """
     vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=int)
+    triangles = np.asarray(triangles)
+    if vertices.ndim != 2 or vertices.shape[1] != 2:
+        raise ValueError(f"vertices must have shape (Nv, 2), got {vertices.shape}")
+    if triangles.ndim != 2 or triangles.shape[1] != 3:
+        raise ValueError(f"triangles must have shape (Nt, 3), got {triangles.shape}")
+    integral = triangles == np.floor(triangles)
+    valid = (integral & (triangles >= 0) & (triangles < len(vertices))).all(axis=1)
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        raise ValueError(
+            f"triangle {bad} has vertex indices {triangles[bad].tolist()}, "
+            f"not integers in [0, {len(vertices)})"
+        )
+    triangles = triangles.astype(int)
     finite = np.isfinite(vertices).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))

@@ -1,5 +1,6 @@
 """Shared fixtures-in-spirit: meshes, projections and manufactured polynomial data."""
 
+import mpmath as mp
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -376,3 +377,62 @@ def polynomial_problem(p, omega):
         return np.einsum("...d,...d->...", grad, normals) + 1j * omega * u_cb(pts)
 
     return u_cb, f_cb, g_cb
+
+
+# Ascending-series oracles for J0, Y0, J1 and Y1 in mpmath arithmetic, at
+# whatever precision the caller sets (the Bessel criterion uses 50 digits).
+EULER = mp.euler
+
+
+def oracle_j0(x):
+    x = mp.mpf(x)
+    q = x * x / 4
+    total, term = mp.mpf(1), mp.mpf(1)
+    for k in range(1, 200):
+        term *= -q / (k * k)
+        total += term
+        if abs(term) < mp.mpf(10) ** (-45) * (1 + abs(total)):
+            break
+    return total
+
+
+def oracle_j1(x):
+    x = mp.mpf(x)
+    q = x * x / 4
+    total, term = mp.mpf(1), mp.mpf(1)
+    for k in range(1, 200):
+        term *= -q / (k * (k + 1))
+        total += term
+        if abs(term) < mp.mpf(10) ** (-45) * (1 + abs(total)):
+            break
+    return x / 2 * total
+
+
+def oracle_y0(x):
+    x = mp.mpf(x)
+    q = x * x / 4
+    total, term, harmonic = mp.mpf(0), mp.mpf(1), mp.mpf(0)
+    for k in range(1, 200):
+        term *= -q / (k * k)
+        harmonic += mp.mpf(1) / k
+        total -= term * harmonic
+        if abs(term) < mp.mpf(10) ** (-45):
+            break
+    return 2 / mp.pi * ((mp.log(x / 2) + EULER) * oracle_j0(x) + total)
+
+
+def oracle_y1(x):
+    x = mp.mpf(x)
+    q = x * x / 4
+    total, term, harmonic = mp.mpf(1), mp.mpf(1), mp.mpf(0)
+    for k in range(1, 200):
+        term *= -q / (k * (k + 1))
+        harmonic += mp.mpf(1) / k
+        total += term * (2 * harmonic + mp.mpf(1) / (k + 1))
+        if abs(term) < mp.mpf(10) ** (-45):
+            break
+    return (
+        2 / mp.pi * (mp.log(x / 2) + EULER) * oracle_j1(x)
+        - 2 / (mp.pi * x)
+        - x / (2 * mp.pi) * total
+    )

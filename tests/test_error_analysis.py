@@ -181,16 +181,16 @@ def test_inverse_trace_constant_lower_bound():
     h, area = REFERENCE_TRIANGLE.diameters[0], REFERENCE_TRIANGLE.areas[0]
     perimeter = 2.0 + np.sqrt(2.0)
     for p in (1, 3):
-        est = estimate_inverse_trace(REFERENCE_TRIANGLE, 0, p)
+        value = estimate_inverse_trace(REFERENCE_TRIANGLE, 0, p)
         lower = np.sqrt(perimeter * h) / (p * np.sqrt(area))
-        assert est.value >= lower - 1e-12
+        assert value >= lower - 1e-12
 
 
 def test_inverse_trace_bounded_over_degrees():
     # the p=1 endpoint sits ~2.4x above the p=8 value on every triangle
     # shape; past p=1 the constant settles quickly (regression guards)
     values = [
-        estimate_inverse_trace(REFERENCE_TRIANGLE, 0, p).value for p in range(1, 9)
+        estimate_inverse_trace(REFERENCE_TRIANGLE, 0, p) for p in range(1, 9)
     ]
     assert max(values) / min(values) <= 2.5
     assert max(values[1:]) / min(values[1:]) <= 2.0
@@ -200,20 +200,20 @@ def test_inverse_trace_scale_invariant():
     for scale in (0.1, 7.0):
         verts = scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         mesh = mesh_from_triangulation(verts, np.array([[0, 1, 2]]))
-        a = estimate_inverse_trace(REFERENCE_TRIANGLE, 0, 4).value
-        b = estimate_inverse_trace(mesh, 0, 4).value
+        a = estimate_inverse_trace(REFERENCE_TRIANGLE, 0, 4)
+        b = estimate_inverse_trace(mesh, 0, 4)
         assert abs(a - b) <= 1e-10 * a
 
 
 def test_norm_equivalence_at_least_one():
     mesh = build_unit_square_mesh(2)
     for p in (1, 3):
-        assert estimate_norm_equivalence(mesh, p).value >= 1.0 - 1e-12
+        assert estimate_norm_equivalence(mesh, p) >= 1.0 - 1e-12
 
 
 def test_norm_equivalence_bounded_over_degrees():
     mesh = build_unit_square_mesh(2)  # 8 elements
-    values = [estimate_norm_equivalence(mesh, p).value for p in range(2, 7)]
+    values = [estimate_norm_equivalence(mesh, p) for p in range(2, 7)]
     assert max(values) / min(values) <= 1.5
 
 
@@ -240,7 +240,7 @@ def test_sparse_broken_grams_match_dense_scatter(make_mesh):
                 assert np.abs(G.toarray() - R).max() <= 1e-14 * np.abs(R).max()
             g_dg, g_sharp = (0.5 * (R + R.T) for R in dense)
             lam = scipy.linalg.eigh(g_sharp, g_dg, eigvals_only=True)
-            value = estimate_norm_equivalence(mesh, p, omega).value
+            value = estimate_norm_equivalence(mesh, p, omega)
             assert value == pytest.approx(np.sqrt(lam[-1]), rel=1e-11)
 
 
@@ -253,8 +253,7 @@ def test_local_coercivity_positive_under_resolution():
     mesh = build_unit_square_mesh(2)  # h_K ~ 0.7
     for p in (2, 3, 4, 5):
         omega = 0.1 / mesh.diameters[0]  # omega h = 0.1
-        est = estimate_local_coercivity(mesh, 0, p, omega)
-        assert est.value > 0.0
+        assert estimate_local_coercivity(mesh, 0, p, omega) > 0.0
 
 
 def test_local_coercivity_matches_direct_laplace_constraint():
@@ -277,7 +276,7 @@ def test_local_coercivity_monotone_toward_threshold():
     mesh = build_unit_square_mesh(2)
     h = mesh.diameters[0]
     values = [
-        estimate_local_coercivity(mesh, 0, 3, target / h).value
+        estimate_local_coercivity(mesh, 0, 3, target / h)
         for target in (13.0, 14.0, 15.0, 16.0, 17.0)
     ]
     assert all(v > 0.0 for v in values)

@@ -56,6 +56,13 @@ def test_hankel_rejects_evaluation_at_source():
         case.u(np.array([-0.25, 0.0]))
 
 
+@pytest.mark.parametrize("omega", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("build", [hankel_case, plane_wave_case, sinsin_case])
+def test_constant_wavenumber_rejected_unless_finite_positive(build, omega):
+    with pytest.raises(ValueError, match=rf"omega .*got {omega!r}"):
+        build(omega)
+
+
 def test_hankel_fd_helmholtz_residual():
     case = hankel_case(10.0)
     pts = interior_points("square", 20, seed=1)

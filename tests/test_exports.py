@@ -1,8 +1,11 @@
-"""Every exported or re-exported name resolves, so deletions leave no stale exports."""
+"""Every exported or re-exported name resolves, so deletions leave no stale
+exports, and every third-party module the tests import is declared."""
 
 import ast
 import importlib
 import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,31 @@ def test_package_imports_resolve():
         source = importlib.import_module(f"helmtrefftz.{module}")
         assert hasattr(source, attr), f"helmtrefftz.{module} has no {attr!r}"
         assert getattr(helmtrefftz, attr) is getattr(source, attr)
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_test_imports_are_declared():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+        for req in requirements
+    }
+    local = {"helmtrefftz", "helpers"}
+    test_modules = {path.stem for path in TESTS.glob("*.py")}
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for top in (name.split(".")[0] for name in names):
+                if top in local or top in sys.stdlib_module_names:
+                    continue
+                assert top not in test_modules, f"{path.name} imports test module {top}"
+                assert top in declared, f"{path.name} imports undeclared {top!r}"

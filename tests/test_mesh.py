@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,45 @@ def test_edge_shared_by_three_triangles_rejected():
     tris = np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]])
     with pytest.raises(ValueError, match=r"edge \(0,1\) shared by 3 triangles"):
         mesh_from_triangulation(verts, tris)
+
+
+UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "triangles,index",
+    [
+        ([[0, 1, 2], [1, 3, -2]], 1),  # negative: would wrap to vertex 2
+        ([[0, 1, 2], [1, 3, 4]], 1),  # one past the last vertex
+        ([[0, 1, 2.6], [1, 3, 2]], 0),  # fractional: would truncate to 2
+        ([[0, 1, 2], [1, 3, float("nan")]], 1),
+    ],
+    ids=["negative", "past-end", "fractional", "nan"],
+)
+def test_bad_vertex_index_rejected_naming_the_triangle(triangles, index):
+    with pytest.raises(ValueError, match=rf"triangle {index} has vertex indices"):
+        mesh_from_triangulation(UNIT_SQUARE, np.array(triangles))
+
+
+@pytest.mark.parametrize(
+    "vertices,triangles,message",
+    [
+        (UNIT_SQUARE, [[0, 1, 2, 3]], "triangles must have shape (Nt, 3), got (1, 4)"),
+        (UNIT_SQUARE, [0, 1, 2], "triangles must have shape (Nt, 3), got (3,)"),
+        (np.zeros((4, 3)), [[0, 1, 2]], "vertices must have shape (Nv, 2), got (4, 3)"),
+    ],
+    ids=["four-columns", "flat-triangles", "3d-vertices"],
+)
+def test_misshapen_arrays_rejected(vertices, triangles, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mesh_from_triangulation(vertices, np.array(triangles))
+
+
+def test_integral_float_indices_accepted():
+    tris = [[0, 1, 2], [1, 3, 2]]
+    mesh = mesh_from_triangulation(UNIT_SQUARE, np.array(tris, dtype=float))
+    assert mesh.triangles.dtype == int
+    assert np.array_equal(mesh.triangles, tris)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
