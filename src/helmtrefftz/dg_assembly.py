@@ -328,7 +328,7 @@ def assemble_rhs(
 
     ev, pts, w = _volume_tables(mesh, p, order)
     vals = ev.values
-    del ev  # frees the power tables before f is evaluated
+    del ev  # frees unshared power tables before f is evaluated
     fv = _source_values(f, pts).astype(complex)
     b += np.einsum("eqi,eq->ei", vals, fv * w)
 

@@ -37,6 +37,7 @@ from .polyspace import (
     _element_stiffness_grams,
     _element_tables,
     _face_quadrature,
+    _face_tables,
     _gram_order,
     _volume_tables,
     bubble_basis,
@@ -108,19 +109,16 @@ def dg_error(field: SolutionField, case: ManufacturedCase) -> float:
     total += np.einsum("eq,eq->", om2 * np.abs(diff) ** 2, w)
 
     fa = mesh.interior_faces
-    pts_f, wf = _face_quadrature(fa, _data_order(p))
-    jump = np.zeros(pts_f.shape[:2], dtype=complex)
-    for sign, el in ((1.0, fa["plus"]), (-1.0, fa["minus"])):
-        vals = _element_tables(mesh, el, p, pts_f).values
-        jump += sign * np.einsum("fmi,fi->fm", vals, coeffs[el])
+    jump = 0.0
+    for sign, side in ((1.0, "plus"), (-1.0, "minus")):
+        tables, _, wf = _face_tables(mesh, side, p, _data_order(p))
+        jump += sign * np.einsum("fmi,fi->fm", tables.values, coeffs[fa[side]])
     weight = p**2 / interior_face_h(mesh)
     total += np.einsum("f,fm,fm->", weight, np.abs(jump) ** 2, wf)
 
-    fb = mesh.boundary_faces
-    pts_b, wb = _face_quadrature(fb, _data_order(p))
-    el = fb["element"]
-    vals = _element_tables(mesh, el, p, pts_b).values
-    diff_b = np.einsum("fmi,fi->fm", vals, coeffs[el]) - case.u(pts_b)
+    tables, pts_b, wb = _face_tables(mesh, "element", p, _data_order(p))
+    el = mesh.boundary_faces["element"]
+    diff_b = np.einsum("fmi,fi->fm", tables.values, coeffs[el]) - case.u(pts_b)
     om_b = omega_values(case.omega, pts_b)
     total += np.einsum("fm,fm->", om_b * np.abs(diff_b) ** 2, wb)
 

@@ -44,7 +44,7 @@ from .exact_solutions import (
 )
 from .local_trefftz import all_local_trefftz
 from .mesh import Mesh, build_unit_disk_mesh, build_unit_square_mesh
-from .polyspace import _element_mass_grams, dim_poly
+from .polyspace import _element_mass_grams, _shared_tables, dim_poly
 from .solve_pipeline import (
     SolutionField,
     _direct_solve,
@@ -169,10 +169,13 @@ def solve(
     "standard" solves the system on the broken degree-p space, "embedded"
     the reduced system on the embedded Trefftz space, which for p < 2 is
     the broken space itself: that system is solved once, as "standard",
-    and both fields share its coefficients.  Each field carries the
-    number of dofs its method solved for.  A near-singular system raises
-    SingularSystemError with context (by default p and h) and the method
-    in its message.
+    and both fields share its coefficients.  The mass Grams and the local
+    constraints read one set of volume tables, and then the load vector
+    and the particular field another, each dropped before the next is
+    built and before the first factorization; the SIPDG assembly builds
+    its own.  Each field carries the number of dofs its method solved
+    for.  A near-singular system raises SingularSystemError with context
+    (by default p and h) and the method in its message.
     """
     if params.p < 1:
         raise ValueError(f"DG solve needs p >= 1, got p={params.p}")
@@ -182,8 +185,19 @@ def solve(
     if context is None:
         context = f"p={params.p}, h={mesh.max_diameter:.4g}"
     A = assemble_sipdg(mesh, params)
-    b = assemble_rhs(mesh, params, f, g)
-    mass_grams = _element_mass_grams(mesh, params.p)
+    embedded = "embedded" in methods and params.p >= 2
+    # the readers of each rule share one set of tables, dropped before the
+    # next rule's is built and before the first LU, which sets the peak
+    # memory
+    with _shared_tables():
+        mass_grams = _element_mass_grams(mesh, params.p)
+        if embedded:
+            local = all_local_trefftz(mesh, params.p, params.omega, mass_grams)
+            embedding = build_global_embedding(local)
+    with _shared_tables():
+        b = assemble_rhs(mesh, params, f, g)
+        if embedded:
+            u_f = particular_field(mesh, local, f)
     out = {}
     broken = None  # the broken-space solution, solved at most once
     for method in methods:
@@ -200,9 +214,6 @@ def solve(
             coeffs = broken
             dofs = A.shape[0]
         else:
-            local = all_local_trefftz(mesh, params.p, params.omega, mass_grams)
-            embedding = build_global_embedding(local)
-            u_f = particular_field(mesh, local, f)
             coeffs = solve_reduced_system(
                 A,
                 b,
@@ -218,23 +229,27 @@ def solve(
 
 
 def _report_rows(case: ManufacturedCase, hnr: int, solved) -> list[ErrorReport]:
-    """One row per solved field {method: field}, in the order of solved."""
-    return [
-        ErrorReport(
-            method=METHOD_TAGS[method],
-            p=fld.degree,
-            h=fld.mesh.max_diameter,
-            hnr=hnr,
-            dofs=fld.dofs,
-            l2error=l2_error(fld, case),
-            dgerror=dg_error(fld, case),
-            omega=case.omega_report,
-            dofspwl=dofs_per_wavelength(
-                fld.dofs, case.omega_representative, fld.mesh.domain_area
-            ),
-        )
-        for method, fld in solved.items()
-    ]
+    """One row per solved field {method: field}, in the order of solved.
+
+    Both norms of every field read one set of volume tables.
+    """
+    with _shared_tables():
+        return [
+            ErrorReport(
+                method=METHOD_TAGS[method],
+                p=fld.degree,
+                h=fld.mesh.max_diameter,
+                hnr=hnr,
+                dofs=fld.dofs,
+                l2error=l2_error(fld, case),
+                dgerror=dg_error(fld, case),
+                omega=case.omega_report,
+                dofspwl=dofs_per_wavelength(
+                    fld.dofs, case.omega_representative, fld.mesh.domain_area
+                ),
+            )
+            for method, fld in solved.items()
+        ]
 
 
 def _square_meshes(levels: int) -> list[Mesh]:

@@ -30,7 +30,6 @@ from .mesh import Mesh
 from .polyspace import (
     _data_order,
     _element_mass_grams,
-    _element_tables,
     _gram_order,
     _volume_tables,
 )
@@ -96,14 +95,13 @@ def constraint_matrices(
     """Constraint matrices for a batch of elements, shape (E, m, n)."""
     if p < 2:
         raise ValueError(f"constraint matrix needs p >= 2, got p={p}")
-    if elements is None:
-        elements = np.arange(mesh.n_elements)
     trial, pts, w = _volume_tables(mesh, p, _gram_order(p), elements)
-    test_vals = _element_tables(mesh, elements, p - 2, pts).values
+    test_vals = trial.lower(p - 2).values
     om2 = omega_values(omega, pts) ** 2
     resid = -trial.laplacians - om2[..., None] * trial.values  # (E, Q, n)
     W = np.einsum("eqm,eqn,eq->emn", test_vals, resid, w)
-    return W * mesh.diameters[elements][:, None, None]
+    sel = slice(None) if elements is None else elements
+    return W * mesh.diameters[sel][:, None, None]
 
 
 def _conj_t(a: np.ndarray) -> np.ndarray:
@@ -217,7 +215,7 @@ def all_local_rhs(mesh: Mesh, p: int, f: Callable) -> np.ndarray:
     """
     test, pts, w = _volume_tables(mesh, p - 2, _data_order(p))
     test_vals = test.values
-    del test  # frees the power tables before f is evaluated
+    del test  # frees unshared power tables before f is evaluated
     fv = _source_values(f, pts)
     return mesh.diameters[:, None] * np.einsum("eqm,eq->em", test_vals, fv * w)
 

@@ -171,7 +171,9 @@ def mesh_from_triangulation(
     Raises ValueError on arrays not shaped (Nv, 2) and (Nt, 3), on a
     triangle whose vertex indices are not integers in [0, Nv), on
     non-finite vertex coordinates, on non-counterclockwise or degenerate
-    triangles, or if an edge is shared by more than two triangles.
+    triangles, if an edge is shared by more than two triangles, or if
+    two triangles that share an edge overlap (run it in the same
+    direction).
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles)
@@ -203,7 +205,8 @@ def mesh_from_triangulation(
     # edges (t0,t1), (t1,t2), (t2,t0) of every triangle, labelled by their
     # sorted vertex pair; a stable sort by label groups each edge with its
     # owners in ascending element order, so plus < minus
-    ends = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    directed = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    ends = np.sort(directed, axis=1)
     label = ends[:, 0] * len(vertices) + ends[:, 1]
     by_label = np.argsort(label, kind="stable")
     owner = np.repeat(np.arange(len(triangles)), 3)[by_label]
@@ -213,8 +216,19 @@ def mesh_from_triangulation(
         j = int(np.argmax(count > 2))
         va, vb = ends[by_label[first[j]]]
         raise ValueError(f"edge ({va},{vb}) shared by {count[j]} triangles")
-    ends = ends[by_label[first]]
     plus, minus = owner[first], owner[first + count - 1]
+    # counterclockwise neighbours run their shared edge in opposite
+    # directions; the same direction puts both on one side: they overlap
+    forward = (directed[:, 0] < directed[:, 1])[by_label]
+    overlap = (count == 2) & (forward[first] == forward[first + count - 1])
+    if np.any(overlap):
+        j = int(np.argmax(overlap))
+        va, vb = ends[by_label[first[j]]]
+        raise ValueError(
+            f"triangles {plus[j]} and {minus[j]} overlap: both run edge "
+            f"({va},{vb}) in the same direction"
+        )
+    ends = ends[by_label[first]]
 
     v0, v1 = vertices[ends[:, 0]], vertices[ends[:, 1]]
     tang = v1 - v0

@@ -3,9 +3,10 @@
 This is the only module that knows the element basis, its frame
 (incenter and diameter) and its quadrature.  Assembly, the local
 constraints and the error norms take their tables from _volume_tables,
-_face_quadrature and _element_tables, at one of two rule orders:
-_gram_order(p) for products of two degree-p functions, _data_order(p)
-for data against one.  A new basis or rule is a change here alone.
+_face_tables, _face_quadrature and _element_tables, at one of two rule
+orders: _gram_order(p) for products of two degree-p functions,
+_data_order(p) for data against one.  A new basis or rule is a change
+here alone.
 
 The basis on a triangle K with incenter c and diameter h is
 
@@ -23,6 +24,20 @@ X**a * Y**b and its derivative formulas.  Repeated multiplication
 would be cheaper but rounds differently, which moves errors at the
 round-off floor (sinsin p=12).  Derivative tables are built only when
 read.
+
+Shared tables.  Outside a _shared_tables scope every call builds its
+own points, weights and power tables and drops them with its result.
+Inside one, _volume_tables over all elements and _face_tables keep one
+set per (mesh, where, order) until the outermost scope closes: the
+points and weights once, and the power tables up to the highest degree
+read so far, of which a lower degree reads the first columns
+(bitwise the tables it would build).  harness.solve opens one scope
+for the mass Grams and the local constraints (trial degree p, test
+degree p-2) at the Gram rule, then one for the load vector and the
+particular field at the data rule, so that one set is alive at a time
+and none at the first LU factorization, which sets the peak memory;
+harness._report_rows opens one for both error norms of every method.
+The SIPDG assembly and the one-element diagnostics build their own.
 
 Element Gram matrices (mass, gradient, boundary traces and their normal
 derivatives) and bubble spaces are built for a batch of elements in one
@@ -47,6 +62,8 @@ requested total degree in the supported range.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -96,12 +113,13 @@ class BasisEval:
     gx and gy are the two components of the gradient, each C-contiguous;
     gradients stacks them.  Each table is gathered from the power tables
     X**k, Y**k (k = 0..p) on first access and kept, so callers pay only
-    for the tables they read.
+    for the tables they read.  degree is p.
     """
 
     def __init__(
         self, x_powers: np.ndarray, y_powers: np.ndarray, p: int, inv_h: np.ndarray
     ):
+        self.degree = p
         exps = monomial_exponents(p)
         self._ia = exps[:, 0]
         self._ib = exps[:, 1]
@@ -141,6 +159,16 @@ class BasisEval:
         return (
             a * (a - 1.0) * self._xa(2) * yb + b * (b - 1.0) * xa * self._yb(2)
         ) * inv_h**2
+
+    def lower(self, q: int) -> BasisEval:
+        """The degree-q tables (q <= p) at the same points.
+
+        They read the first q+1 columns of the power tables, which are
+        bitwise the tables a degree-q evaluation would build.
+        """
+        return BasisEval(
+            self._x_powers[..., : q + 1], self._y_powers[..., : q + 1], q, self._inv_h
+        )
 
 
 def _monomial_tables(
@@ -272,18 +300,6 @@ def _element_tables(mesh: Mesh, elements, p: int, points: np.ndarray) -> BasisEv
     return _monomial_tables(centers, scales, p, points)
 
 
-def _volume_tables(
-    mesh: Mesh, p: int, order: int, elements=None
-) -> tuple[BasisEval, np.ndarray, np.ndarray]:
-    """Degree-p tables, points and weights at the order-`order` rule of the elements.
-
-    elements defaults to all elements.
-    """
-    sel = slice(None) if elements is None else elements
-    pts, w = map_rule_to_triangle(quadrature_rule(order), mesh.tri_coords[sel])
-    return _element_tables(mesh, sel, p, pts), pts, w
-
-
 def _face_quadrature(faces, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Points (..., M, 2) and weights (..., M) of the order-`order` edge rule.
 
@@ -294,6 +310,88 @@ def _face_quadrature(faces, order: int) -> tuple[np.ndarray, np.ndarray]:
     v0 = faces["v0"]
     pts = v0[..., None, :] + rule.nodes[:, None] * (faces["v1"] - v0)[..., None, :]
     return pts, rule.weights * faces["length"][..., None]
+
+
+# (id(mesh), where, order) -> (mesh, tables, points, weights) while a
+# _shared_tables scope is open; None outside one.  A context variable, so
+# each thread sees only the scopes it opened.
+_shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
+
+
+@contextmanager
+def _shared_tables():
+    """Share the tables of the whole mesh until the scope closes.
+
+    Re-entrant: an inner scope joins the outer one, and only the
+    outermost close drops the tables.
+    """
+    if _shared.get() is not None:
+        yield
+        return
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def _mesh_tables(mesh: Mesh, where: str, elements, p: int, order: int, rule):
+    """Degree-p tables of elements at the points and weights rule() returns.
+
+    Inside a _shared_tables scope the set is kept under (mesh, where,
+    order): its points and weights are built once, and its power tables
+    again only for a degree above the highest built so far; a lower
+    degree reads their first columns (BasisEval.lower).
+    """
+    shared = _shared.get()
+    if shared is None:
+        pts, w = rule()
+        return _element_tables(mesh, elements, p, pts), pts, w
+    # the entry holds the mesh, so no other mesh takes its id meanwhile
+    key = (id(mesh), where, order)
+    if key not in shared:
+        pts, w = rule()
+        pts.setflags(write=False)  # every reader of the scope sees them
+        w.setflags(write=False)
+        shared[key] = (mesh, _element_tables(mesh, elements, p, pts), pts, w)
+    _, tables, pts, w = shared[key]
+    if tables.degree < p:
+        tables = _element_tables(mesh, elements, p, pts)
+        shared[key] = (mesh, tables, pts, w)
+    return tables.lower(p), pts, w
+
+
+def _volume_tables(
+    mesh: Mesh, p: int, order: int, elements=None
+) -> tuple[BasisEval, np.ndarray, np.ndarray]:
+    """Degree-p tables, points and weights at the order-`order` rule of the elements.
+
+    elements defaults to all elements, whose tables a _shared_tables
+    scope shares; a subset always gets its own.
+    """
+    rule = quadrature_rule(order)
+    if elements is not None:
+        pts, w = map_rule_to_triangle(rule, mesh.tri_coords[elements])
+        return _element_tables(mesh, elements, p, pts), pts, w
+    return _mesh_tables(
+        mesh, "volume", slice(None), p, order,
+        lambda: map_rule_to_triangle(rule, mesh.tri_coords),
+    )
+
+
+def _face_tables(
+    mesh: Mesh, side: str, p: int, order: int
+) -> tuple[BasisEval, np.ndarray, np.ndarray]:
+    """Degree-p tables, points and weights at the order-`order` edge rule
+    of the mesh's faces, in the frames of one side's elements.
+
+    side is "plus" or "minus" for the interior faces and "element" for
+    the boundary faces; a _shared_tables scope shares the tables.
+    """
+    faces = mesh.boundary_faces if side == "element" else mesh.interior_faces
+    return _mesh_tables(
+        mesh, side, faces[side], p, order, lambda: _face_quadrature(faces, order)
+    )
 
 
 # Largest temporary of _weighted_gram, in float64 entries (512 KB)

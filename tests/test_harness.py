@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
+from helmtrefftz import polyspace
 from helmtrefftz.cli import main
+from helmtrefftz.dg_assembly import FormParameters
 from helmtrefftz.error_analysis import ErrorReport
+from helmtrefftz.exact_solutions import sinsin_case
 from helmtrefftz.harness import (
     CSV_HEADER,
     METHOD_TAGS,
     PLANEWAVE_RINGS_LADDER,
     RunConfig,
+    _report_rows,
     emit_csv,
     parse_csv,
     run_experiment,
+    solve,
     summarize,
 )
+from helmtrefftz.mesh import build_unit_square_mesh
 
 
 def small_hankel_config(**kwargs):
@@ -344,3 +350,37 @@ def test_cli_solver_failure_names_the_rung_once(tmp_path, capsys):
 
 def test_cli_missing_file(capsys):
     assert main(["summarize", "--in", "/nonexistent/file.csv"]) == 1
+
+
+@pytest.mark.parametrize("p", [3, 6])
+def test_one_rung_builds_each_table_once_per_scope(p, monkeypatch):
+    # solve shares one set of tables per rule before its first LU, and the
+    # error rows another; the SIPDG assembly, outside them, builds its own
+    mesh = build_unit_square_mesh(2)
+    case = sinsin_case(1.0)
+    params = FormParameters(omega=case.omega, p=p)
+    builds = []  # (the open scope's table set or None, the build's inputs)
+    build = polyspace._monomial_tables
+
+    def spy(centers, scales, q, points):
+        inputs = b"".join(np.ascontiguousarray(a).tobytes() for a in (centers, points))
+        builds.append((polyspace._shared.get(), inputs))
+        return build(centers, scales, q, points)
+
+    monkeypatch.setattr(polyspace, "_monomial_tables", spy)
+    solved = solve(mesh, params, case.f, case.g, ("embedded", "standard"))
+    assert polyspace._shared.get() is None
+    _report_rows(case, 0, solved)
+    assert polyspace._shared.get() is None
+    scopes = {id(s): s for s, _ in builds if s is not None}
+    assert len(scopes) == 3
+    for scope in scopes.values():
+        inputs = [key for s, key in builds if s is scope]
+        assert len(inputs) == len(set(inputs))
+    # the error rows build the data-rule volume tables once for both fields
+    last = [key for s, key in builds if s is list(scopes.values())[-1]]
+    assert len(last) == 4  # volume, plus, minus and boundary faces
+
+
+def test_run_experiment_leaves_nothing_shared(hankel_reports):
+    assert polyspace._shared.get() is None

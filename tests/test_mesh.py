@@ -167,6 +167,19 @@ UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
 @pytest.mark.parametrize(
+    "triangles",
+    [[[0, 1, 2], [0, 1, 2]], [[0, 1, 2], [0, 1, 3]]],
+    ids=["repeated", "same-side"],
+)
+def test_overlapping_triangles_rejected(triangles):
+    # both counterclockwise triangles run edge (0,1) from 0 to 1
+    with pytest.raises(
+        ValueError, match=r"triangles 0 and 1 overlap: both run edge \(0,1\)"
+    ):
+        mesh_from_triangulation(UNIT_SQUARE, np.array(triangles))
+
+
+@pytest.mark.parametrize(
     "triangles,index",
     [
         ([[0, 1, 2], [1, 3, -2]], 1),  # negative: would wrap to vertex 2

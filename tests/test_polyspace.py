@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from helmtrefftz.polyspace import (
     _element_stiffness_grams,
     _element_tables,
     _face_quadrature,
+    _face_tables,
     _gram_order,
     _monomial_tables,
     _volume_tables,
@@ -176,6 +178,84 @@ def test_volume_and_element_tables_bitwise(p):
         assert same_bits(ev.laplacians, ref.laplacians)
         lower = _element_tables(DISK, sel, max(p - 2, 0), pts)
         assert lower.values.shape == pts.shape[:-1] + (dim_poly(max(p - 2, 0)),)
+
+
+def counted_builds(monkeypatch):
+    """Record the element count of every power-table build."""
+    builds = []
+
+    def spy(centers, scales, p, points):
+        builds.append(len(centers))
+        return _monomial_tables(centers, scales, p, points)
+
+    monkeypatch.setattr(polyspace, "_monomial_tables", spy)
+    return builds
+
+
+@pytest.mark.parametrize("order", [_gram_order(8), _data_order(3)])
+def test_shared_tables_bitwise_at_every_degree(order, monkeypatch):
+    # the degree grows and shrinks inside one scope: one build per rise,
+    # and every degree reads bitwise the tables an unshared call builds
+    degrees = [2, 0, 5, 3, 8, 8, 1]
+    alone = {p: _volume_tables(DISK, p, order) for p in degrees}
+    sides = {
+        side: {p: _face_tables(DISK, side, p, order) for p in degrees}
+        for side in ("plus", "minus", "element")
+    }
+    builds = counted_builds(monkeypatch)
+    with polyspace._shared_tables():
+        for p in degrees:
+            for expected, got in [
+                (alone[p], _volume_tables(DISK, p, order)),
+                *((sides[s][p], _face_tables(DISK, s, p, order)) for s in sides),
+            ]:
+                for a, b in zip(expected[1:], got[1:]):
+                    assert same_bits(a, b)
+                for name in ("values", "gx", "gy", "laplacians"):
+                    assert same_bits(getattr(expected[0], name), getattr(got[0], name))
+    assert len(builds) == 4 * len({2, 5, 8})
+    assert polyspace._shared.get() is None
+
+
+def test_shared_tables_scope_nests_and_closes_on_error(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    with pytest.raises(RuntimeError, match="inside"):
+        with polyspace._shared_tables():
+            _volume_tables(DISK, 3, 8)
+            with polyspace._shared_tables():  # joins the outer scope
+                _volume_tables(DISK, 3, 8)
+            _volume_tables(DISK, 2, 8)
+            assert builds == [DISK.n_elements]
+            raise RuntimeError("inside")
+    assert polyspace._shared.get() is None
+    _volume_tables(DISK, 3, 8)
+    _volume_tables(DISK, 3, 8)
+    assert len(builds) == 3  # outside a scope every call builds
+
+
+def test_shared_tables_scope_is_per_thread():
+    seen = []
+    with polyspace._shared_tables():
+        other = threading.Thread(target=lambda: seen.append(polyspace._shared.get()))
+        other.start()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert seen == [None]
+
+
+def test_one_element_grams_get_their_own_tables(monkeypatch):
+    # the one-element diagnostics neither read nor fill the shared set
+    one = np.array([7])
+    expected = _element_mass_grams(DISK, 4, one)
+    builds = counted_builds(monkeypatch)
+    assert np.array_equal(_element_mass_grams(DISK, 4, one), expected)
+    assert builds == [1]
+    with polyspace._shared_tables():
+        everything = _element_mass_grams(DISK, 4)
+        assert np.array_equal(_element_mass_grams(DISK, 4, one), expected)
+        assert np.array_equal(everything[one], expected)
+        assert len(polyspace._shared.get()) == 1
+    assert builds == [1, DISK.n_elements, 1]
 
 
 SOURCE = Path(polyspace.__file__).parent
