@@ -28,20 +28,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run an experiment suite and write CSV")
+    # an option not given is left out, so that RunConfig states each default
+    run = sub.add_parser(
+        "run",
+        help="run an experiment suite and write CSV",
+        argument_default=argparse.SUPPRESS,
+    )
     run.add_argument("--experiment", required=True, choices=EXPERIMENTS)
-    run.add_argument("--p", type=_int_list, default=(), metavar="LIST",
+    run.add_argument("--p", dest="degrees", type=_int_list, metavar="LIST",
                      help="comma-separated polynomial degrees")
-    run.add_argument("--levels", type=int, default=0,
+    run.add_argument("--levels", type=int,
                      help="number of refinement levels (mesh ladder length)")
-    run.add_argument("--omega", type=_float_list, default=(), metavar="LIST",
+    run.add_argument("--omega", dest="omegas", type=_float_list, metavar="LIST",
                      help="comma-separated wavenumbers (planewave only; default 100)")
-    run.add_argument("--alpha", type=float, default=10.0, help="penalty parameter")
-    run.add_argument("--methods", type=_method_list,
-                     default=("embedded", "standard"), metavar="LIST",
+    run.add_argument("--alpha", type=float, help="penalty parameter")
+    run.add_argument("--methods", type=_method_list, metavar="LIST",
                      help="comma-separated subset of embedded,standard")
     run.add_argument("--out", required=True, help="output CSV path")
-    run.add_argument("--dof-cap", type=int, default=2_000_000,
+    run.add_argument("--dof-cap", type=int,
                      help="refuse or trim configurations beyond this dof count")
 
     summ = sub.add_parser("summarize", help="print a rate table for a CSV file")
@@ -50,10 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "summarize":
+    args = vars(build_parser().parse_args(argv))
+    if args.pop("command") == "summarize":
         try:
-            reports = parse_csv(args.path)
+            reports = parse_csv(args["path"])
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -61,16 +65,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        config = RunConfig(
-            experiment=args.experiment,
-            methods=args.methods,
-            degrees=args.p,
-            levels=args.levels,
-            omegas=args.omega,
-            alpha=args.alpha,
-            out=args.out,
-            dof_cap=args.dof_cap,
-        )
+        config = RunConfig(**args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -83,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(summarize(reports))
-    print(f"wrote {len(reports)} rows to {args.out}")
+    print(f"wrote {len(reports)} rows to {config.out}")
     return 0
 
 

@@ -24,10 +24,11 @@ The gradient Gram comes from polyspace._weighted_gram, which adds the
 two gradient terms of a point before the point (einsum's order without
 its two-wide inner loop).  On interior faces the term
 ({grad v . n}, [u]) is the transpose of ([v], {grad u . n}) with the
-sides swapped, and the penalty Gram of (-, +) is that of (+, -)
-transposed; the products commute, so the transposes are exact.  A
-matmul would sum in another order and move the round-off floor of the
-errors (sinsin, p = 12).
+sides swapped, and the penalty Gram of (minus, plus) is that of
+(plus, minus) transposed; the products commute, so the transposes are
+exact.  A matmul would sum in another order and move the round-off
+floor of the errors (sinsin, p = 12).  Every face term reads its
+points, weights and element frames from polyspace._face_tables.
 
 The matrix is built from stacked element-pair blocks, which stay real
 (only the impedance blocks are complex), and is returned as a BSR
@@ -38,12 +39,13 @@ them: within each row it std::sorts the entries by column, an unstable
 sort whose result depends only on the sequence of column keys in that
 row, then adds equal columns left to right.  The order of the sum is
 therefore not the COO order; it is fixed by the row's key sequence.
-The blocks are written in the order volume, faces (+, +), (+, -),
-(-, +), (-, -), impedance, each segment in face order, so a tile of
-whole block rows that keeps that relative order within every row
-converts to the same bits as the whole matrix would.  Such tiles of at
-most _ROW_TILE entries are converted one at a time and copied into the
-BSR data, allocated once; no duplicate-sized array outlives a tile.
+The blocks are written in the order volume, faces (plus, plus),
+(plus, minus), (minus, plus), (minus, minus), impedance, each segment
+in face order, so a tile of whole block rows that keeps that relative
+order within every row converts to the same bits as the whole matrix
+would.  Such tiles of at most _ROW_TILE entries are converted one at a
+time and copied into the BSR data, allocated once; no duplicate-sized
+array outlives a tile.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ import scipy.sparse as sp
 from .mesh import Mesh
 from .polyspace import (
     _data_order,
-    _element_tables,
-    _face_quadrature,
+    _face_tables,
     _gram_order,
     _volume_tables,
     _weighted_gram,
@@ -191,51 +192,51 @@ def _volume_blocks(mesh: Mesh, params: FormParameters) -> np.ndarray:
     return vol
 
 
+# the sides of an interior face, as the mesh names them, and the sign of
+# each side's trace in the jump [v] = v+ - v-
+_SIGN = {"plus": 1.0, "minus": -1.0}
+
+
 def _interior_face_blocks(mesh: Mesh, params: FormParameters) -> list:
     """Consistency, symmetry and penalty terms of every interior face.
 
-    Returns the (test side, trial side) blocks (+, +), (+, -), (-, +) and
-    (-, -) as segments for _block_triplets.
+    Returns the (test side, trial side) blocks (plus, plus), (plus, minus),
+    (minus, plus) and (minus, minus) as segments for _block_triplets.
     """
     p = params.p
     fa = mesh.interior_faces
-    pts_f, wf = _face_quadrature(fa, _gram_order(p))
     nx = fa["normal"][:, 0, None, None]
     ny = fa["normal"][:, 1, None, None]
-    owner = {"+": fa["plus"], "-": fa["minus"]}
     vals, dn = {}, {}
-    for s, el in owner.items():
-        evf = _element_tables(mesh, el, p, pts_f)
+    for s in _SIGN:
+        evf, _, wf = _face_tables(mesh, s, p, _gram_order(p))
         vals[s] = evf.values
         dn[s] = 0.0 + evf.gx * nx + evf.gy * ny  # einsum's order, from +0.0
     # cross[s, t] = (vals_s, dn_t)_F; (dn_t, vals_s)_F is its transpose
     cross = {
         (s, t): np.einsum("fmi,fmj,fm->fij", vals[s], dn[t], wf)
-        for s in "+-"
-        for t in "+-"
+        for s in _SIGN
+        for t in _SIGN
     }
     pen = {
         (s, t): np.einsum("fmi,fmj,fm->fij", vals[s], vals[t], wf)
-        for s, t in (("+", "+"), ("+", "-"), ("-", "-"))
+        for s, t in (("plus", "plus"), ("plus", "minus"), ("minus", "minus"))
     }
-    pen["-", "+"] = pen["+", "-"].swapaxes(1, 2)
+    pen["minus", "plus"] = pen["plus", "minus"].swapaxes(1, 2)
     sigma = params.alpha * p**2 / interior_face_h(mesh)
-    sign = {"+": 1.0, "-": -1.0}
     segments = []
-    for sv in "+-":
-        for su in "+-":
-            blk = -0.5 * sign[sv] * cross[sv, su]
-            blk += -0.5 * sign[su] * cross[su, sv].swapaxes(1, 2)
-            blk += (sign[su] * sign[sv] * sigma)[:, None, None] * pen[sv, su]
-            segments.append((blk, owner[sv], owner[su]))
+    for sv in _SIGN:
+        for su in _SIGN:
+            blk = -0.5 * _SIGN[sv] * cross[sv, su]
+            blk += -0.5 * _SIGN[su] * cross[su, sv].swapaxes(1, 2)
+            blk += (_SIGN[su] * _SIGN[sv] * sigma)[:, None, None] * pen[sv, su]
+            segments.append((blk, fa[sv], fa[su]))
     return segments
 
 
 def _impedance_blocks(mesh: Mesh, params: FormParameters) -> np.ndarray:
     """i (omega u, v) on every boundary face, complex."""
-    fb = mesh.boundary_faces
-    pts_b, wb = _face_quadrature(fb, _gram_order(params.p))
-    evb = _element_tables(mesh, fb["element"], params.p, pts_b)
+    evb, pts_b, wb = _face_tables(mesh, "element", params.p, _gram_order(params.p))
     om = omega_values(params.omega, pts_b)
     return 1j * np.einsum("fmi,fmj,fm->fij", evb.values, evb.values, wb * om)
 
@@ -333,9 +334,7 @@ def assemble_rhs(
     b += np.einsum("eqi,eq->ei", vals, fv * w)
 
     fb = mesh.boundary_faces
-    pts_b, wb = _face_quadrature(fb, order)
-    el = fb["element"]
-    vals_b = _element_tables(mesh, el, p, pts_b).values
+    evb, pts_b, wb = _face_tables(mesh, "element", p, order)
     normals = np.broadcast_to(fb["normal"][:, None, :], pts_b.shape)
     gv = np.asarray(g(pts_b, normals), dtype=complex)
     _reject_at_points(
@@ -345,7 +344,7 @@ def assemble_rhs(
         "boundary data g(x, n) must be finite",
         "boundary face",
     )
-    contrib = np.einsum("fmi,fm->fi", vals_b, gv * wb)
-    np.add.at(b, el, contrib)
+    contrib = np.einsum("fmi,fm->fi", evb.values, gv * wb)
+    np.add.at(b, fb["element"], contrib)
 
     return b.ravel()

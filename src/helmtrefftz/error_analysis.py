@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .dg_assembly import _sum_block_rows, interior_face_h, omega_values
+from .dg_assembly import _SIGN, _sum_block_rows, interior_face_h, omega_values
 from .exact_solutions import ManufacturedCase
 from .local_trefftz import constraint_matrices
 from .mesh import Mesh
@@ -35,8 +35,6 @@ from .polyspace import (
     _element_boundary_grams,
     _element_mass_grams,
     _element_stiffness_grams,
-    _element_tables,
-    _face_quadrature,
     _face_tables,
     _gram_order,
     _volume_tables,
@@ -160,6 +158,20 @@ def _one_element(mesh: Mesh, element: int) -> np.ndarray:
     return np.array([element])
 
 
+def _pencil_eigenvalues(a: np.ndarray, b: np.ndarray, where: str) -> np.ndarray:
+    """Ascending eigenvalues of a x = lam b x, both Grams symmetrized.
+
+    A b that is not positive definite raises a LinAlgError naming where
+    it was built: the element or the mesh.
+    """
+    try:
+        return scipy.linalg.eigh(0.5 * (a + a.T), 0.5 * (b + b.T), eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"Gram not positive definite on {where}: {exc}"
+        ) from exc
+
+
 def _local_dg_gram(mesh: Mesh, element: int, p: int, omega: float) -> np.ndarray:
     """Gram of ||grad .||_K^2 + omega^2 ||.||_K^2 + (p^2/h_K) ||.||_dK^2."""
     one = _one_element(mesh, element)
@@ -195,15 +207,8 @@ def estimate_local_coercivity(mesh: Mesh, element: int, p: int, omega: float) ->
         raise np.linalg.LinAlgError(
             f"test-norm Gram not invertible on element {element}: {exc}"
         ) from exc
-    dual = 0.5 * (dual + dual.T)
     dg_gram = C_b.T @ _local_dg_gram(mesh, element, p, float(omega)) @ C_b
-    dg_gram = 0.5 * (dg_gram + dg_gram.T)
-    try:
-        lam = scipy.linalg.eigh(dual, dg_gram, eigvals_only=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise np.linalg.LinAlgError(
-            f"local DG Gram not positive definite on element {element}: {exc}"
-        ) from exc
+    lam = _pencil_eigenvalues(dual, dg_gram, f"element {element}")
     return float(np.sqrt(max(lam[0], 0.0)))
 
 
@@ -213,31 +218,23 @@ def _broken_grams(mesh: Mesh, p: int, omega: float):
     elements = np.arange(mesh.n_elements)
     vol = _element_stiffness_grams(mesh, p) + omega**2 * _element_mass_grams(mesh, p)
 
-    # jump terms: the four (plus/minus) x (plus/minus) blocks of every face
+    # (p^2/h_F) ([u], [v])_F in the (test side, trial side) segments of the
+    # assembly's interior face blocks
     fa = mesh.interior_faces
-    pts, wts = _face_quadrature(fa, _gram_order(p))
-    sides = np.stack([fa["plus"], fa["minus"]], axis=1)  # (F, 2)
-    traces = np.stack(
-        [_element_tables(mesh, el, p, pts).values for el in sides.T], axis=1
-    )  # (F, 2, M, n)
-    sign = np.array([1.0, -1.0])
-    weight = (p**2 / interior_face_h(mesh))[:, None, None] * sign[:, None] * sign
-    jump = np.einsum("fsmi,ftmj,fm->fstij", traces, traces, wts)
-    jump *= weight[..., None, None]
-
-    fb = mesh.boundary_faces
-    pts, wts = _face_quadrature(fb, _gram_order(p))
-    el = fb["element"]
-    tr = _element_tables(mesh, el, p, pts).values
-    impedance = omega * np.einsum("fmi,fmj,fm->fij", tr, tr, wts)
-
-    rows_of_jump = np.repeat(sides, 2, axis=1).ravel()
-    cols_of_jump = np.tile(sides, 2).ravel()
-    segments = [
-        (vol, elements, elements),
-        (jump.reshape(-1, n, n), rows_of_jump, cols_of_jump),
-        (impedance, el, el),
-    ]
+    traces = {}
+    for side in _SIGN:
+        tables, _, w = _face_tables(mesh, side, p, _gram_order(p))
+        traces[side] = tables.values
+    weight = p**2 / interior_face_h(mesh)
+    jumps = []
+    for s in _SIGN:
+        for t in _SIGN:
+            gram = np.einsum("fmi,fmj,fm,f->fij", traces[s], traces[t], w, weight)
+            jumps.append((_SIGN[s] * _SIGN[t] * gram, fa[s], fa[t]))
+    tr, _, wb = _face_tables(mesh, "element", p, _gram_order(p))
+    impedance = omega * np.einsum("fmi,fmj,fm->fij", tr.values, tr.values, wb)
+    el = mesh.boundary_faces["element"]
+    segments = [(vol, elements, elements), *jumps, (impedance, el, el)]
     g_dg = _sum_block_rows(segments, mesh.n_elements, n)
     _, normal_derivs = _element_boundary_grams(mesh, p)
     extra = (mesh.diameters / p**2)[:, None, None] * normal_derivs
@@ -259,12 +256,7 @@ def estimate_norm_equivalence(mesh: Mesh, p: int, omega: float = 1.0) -> float:
     if p < 1:
         raise ValueError("need p >= 1")
     g_dg, g_sharp = (G.toarray() for G in _broken_grams(mesh, p, float(omega)))
-    g_dg = 0.5 * (g_dg + g_dg.T)
-    g_sharp = 0.5 * (g_sharp + g_sharp.T)
-    try:
-        lam = scipy.linalg.eigh(g_sharp, g_dg, eigvals_only=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise np.linalg.LinAlgError(f"DG-norm Gram not positive definite: {exc}") from exc
+    lam = _pencil_eigenvalues(g_sharp, g_dg, f"the mesh of {mesh.n_elements} elements")
     return float(np.sqrt(lam[-1]))
 
 
@@ -274,9 +266,6 @@ def estimate_inverse_trace(mesh: Mesh, element: int, p: int) -> float:
         raise ValueError("need p >= 1")
     one = _one_element(mesh, element)
     traces, _ = _element_boundary_grams(mesh, p, one)
-    bdry = traces[0]
     mass = _element_mass_grams(mesh, p, one)[0]
-    lam = scipy.linalg.eigh(
-        0.5 * (bdry + bdry.T), 0.5 * (mass + mass.T), eigvals_only=True
-    )
+    lam = _pencil_eigenvalues(traces[0], mass, f"element {element}")
     return float(np.sqrt(lam[-1] * mesh.diameters[element]) / p)

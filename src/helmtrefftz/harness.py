@@ -115,8 +115,6 @@ class RunConfig:
                 raise ValueError(f"unknown method {m!r}")
         if not self.methods:
             raise ValueError("need at least one method")
-        if len(set(self.methods)) < len(self.methods):
-            raise ValueError(f"methods repeat, got methods={self.methods}")
         degrees = tuple(self.degrees) or _DEFAULT_DEGREES[self.experiment]
         if any(p < 1 for p in degrees):
             raise ValueError(f"degrees must be >= 1, got {degrees}")
@@ -151,6 +149,10 @@ class RunConfig:
             )
         if self.dof_cap < 1:
             raise ValueError(f"dof_cap must be >= 1, got dof_cap={self.dof_cap}")
+        for name in ("methods", "degrees", "omegas"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeat, got {name}={values}")
 
 
 def solve(

@@ -173,7 +173,7 @@ def mesh_from_triangulation(
     non-finite vertex coordinates, on non-counterclockwise or degenerate
     triangles, if an edge is shared by more than two triangles, or if
     two triangles that share an edge overlap (run it in the same
-    direction).
+    direction), and on a domain_area that is not finite and positive.
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles)
@@ -261,6 +261,8 @@ def mesh_from_triangulation(
     }
     if domain_area is None:
         domain_area = float(signed.sum())
+    if not (math.isfinite(domain_area) and domain_area > 0.0):
+        raise ValueError(f"domain_area must be finite and positive, got {domain_area}")
     return Mesh(vertices, triangles, interior, boundary, float(domain_area))
 
 

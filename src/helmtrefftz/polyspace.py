@@ -1,12 +1,12 @@
 """The element basis, its quadrature, and the tables built from them.
 
 This is the only module that knows the element basis, its frame
-(incenter and diameter) and its quadrature.  Assembly, the local
-constraints and the error norms take their tables from _volume_tables,
-_face_tables, _face_quadrature and _element_tables, at one of two rule
-orders: _gram_order(p) for products of two degree-p functions,
-_data_order(p) for data against one.  A new basis or rule is a change
-here alone.
+(incenter and diameter) and its quadrature, and the only one that
+places quadrature points.  Assembly, the local constraints and the
+error norms take their tables from _volume_tables and _face_tables
+alone, at one of two rule orders: _gram_order(p) for products of two
+degree-p functions, _data_order(p) for data against one.  A new basis
+or rule is a change here alone.
 
 The basis on a triangle K with incenter c and diameter h is
 
@@ -33,11 +33,12 @@ points and weights once, and the power tables up to the highest degree
 read so far, of which a lower degree reads the first columns
 (bitwise the tables it would build).  harness.solve opens one scope
 for the mass Grams and the local constraints (trial degree p, test
-degree p-2) at the Gram rule, then one for the load vector and the
-particular field at the data rule, so that one set is alive at a time
-and none at the first LU factorization, which sets the peak memory;
-harness._report_rows opens one for both error norms of every method.
-The SIPDG assembly and the one-element diagnostics build their own.
+degree p-2) at the Gram rule, then one for the load vector (volume
+and boundary terms) and the particular field at the data rule, so
+that one set is alive at a time and none at the first LU
+factorization, which sets the peak memory; harness._report_rows opens
+one for both error norms of every method.  The SIPDG assembly, the
+DG-norm Grams and the one-element diagnostics build their own.
 
 Element Gram matrices (mass, gradient, boundary traces and their normal
 derivatives) and bubble spaces are built for a batch of elements in one

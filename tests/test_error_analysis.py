@@ -205,6 +205,13 @@ def test_inverse_trace_scale_invariant():
         assert abs(a - b) <= 1e-10 * a
 
 
+def test_inverse_trace_names_the_element_of_a_singular_mass_gram():
+    # at p = 20 the monomial mass Gram is singular in double precision; the
+    # eigensolver's bare message used to name no element
+    with pytest.raises(np.linalg.LinAlgError, match="element 0"):
+        estimate_inverse_trace(build_unit_square_mesh(1), 0, 20)
+
+
 def test_norm_equivalence_at_least_one():
     mesh = build_unit_square_mesh(2)
     for p in (1, 3):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helmtrefftz import polyspace
+from helmtrefftz import cli, polyspace
 from helmtrefftz.cli import main
 from helmtrefftz.dg_assembly import FormParameters
 from helmtrefftz.error_analysis import ErrorReport
@@ -149,12 +149,13 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("dof_cap", 0), ("dof_cap", -1)],
+    [("dof_cap", 0), ("dof_cap", -1), ("degrees", (3, 3)), ("omegas", (100, 100))],
 )
 def test_config_rejects_bad_bump_and_cap(field, value):
-    # rejected before any rung is solved, naming the field
+    # rejected before any rung is solved, naming the field; a repeated
+    # degree or wavenumber used to write its rows twice
     with pytest.raises(ValueError, match=field):
-        RunConfig(experiment="sinsin", degrees=(2,), **{field: value})
+        RunConfig(**{"experiment": "planewave", "degrees": (2,), field: value})
 
 
 def test_config_rejects_levels_for_sinsin():
@@ -256,6 +257,17 @@ def test_cli_run_and_summarize(tmp_path, capsys):
     assert "etvol" in capsys.readouterr().out
 
 
+def test_cli_takes_its_defaults_from_run_config(tmp_path, monkeypatch):
+    # every option left out keeps RunConfig's default, stated there alone
+    out = str(tmp_path / "x.csv")
+    built = []
+    monkeypatch.setattr(
+        cli, "run_experiment", lambda config: built.append(config) or []
+    )
+    assert main(["run", "--experiment", "hankel", "--out", out]) == 0
+    assert built == [RunConfig(experiment="hankel", out=out)]
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     code = main(
         [
@@ -283,6 +295,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         ("--omega", "-3", "omegas"),
         ("--alpha", "nan", "alpha"),
         ("--dof-cap", "-1", "dof_cap"),
+        ("--p", "3,3", "degrees"),
+        ("--omega", "100,100", "omegas"),
     ],
 )
 def test_cli_rejects_bad_parameters(tmp_path, capsys, option, value, field):
@@ -372,6 +386,8 @@ def test_one_rung_builds_each_table_once_per_scope(p, monkeypatch):
     assert polyspace._shared.get() is None
     _report_rows(case, 0, solved)
     assert polyspace._shared.get() is None
+    # the assembly's volume, plus, minus and boundary tables, outside any scope
+    assert [s is None for s, _ in builds[:5]] == [True] * 4 + [False]
     scopes = {id(s): s for s, _ in builds if s is not None}
     assert len(scopes) == 3
     for scope in scopes.values():

@@ -223,6 +223,14 @@ def test_non_finite_vertex_rejected(bad):
         mesh_from_triangulation(verts, np.array([[0, 1, 2], [1, 3, 2]]))
 
 
+@pytest.mark.parametrize("area", [0.0, -1.0, float("inf"), float("nan")])
+def test_bad_domain_area_rejected(area):
+    # refused at the mesh, not after the solve in dofs_per_wavelength
+    tris = np.array([[0, 1, 2], [1, 3, 2]])
+    with pytest.raises(ValueError, match="domain_area"):
+        mesh_from_triangulation(UNIT_SQUARE, tris, domain_area=area)
+
+
 @pytest.mark.parametrize(
     "build", [lambda: build_unit_square_mesh(5), lambda: build_unit_disk_mesh(6)]
 )

@@ -259,9 +259,13 @@ def test_one_element_grams_get_their_own_tables(monkeypatch):
 
 
 SOURCE = Path(polyspace.__file__).parent
-# the basis tables, the quadrature rules and their largest order
+# the basis tables, the quadrature rules and their largest order, and the
+# placement of points and element frames behind _volume_tables and
+# _face_tables
 BASIS_NAMES = (
     "_monomial_tables",
+    "_element_tables",
+    "_face_quadrature",
     "quadrature_rule",
     "edge_quadrature_rule",
     "map_rule_to_triangle",
