@@ -315,23 +315,26 @@ def assemble_sipdg(mesh: Mesh, params: FormParameters) -> sp.bsr_matrix:
 
 
 def assemble_rhs(
-    mesh: Mesh, params: FormParameters, f: Callable, g: Callable
+    mesh: Mesh, params: FormParameters, f: Callable | None, g: Callable
 ) -> np.ndarray:
     """Assemble b[i] = (f, phi_i)_T + (g, phi_i)_dOmega with elevated quadrature.
 
-    f maps points (..., 2) to complex values; g maps (points, unit normals)
-    to complex values.  A non-finite value of f or g raises a ValueError
+    f maps points (..., 2) to complex values, or is None for a zero
+    source, whose volume term is then neither built nor evaluated (a zero
+    source would add only +0.0 to b); g maps (points, unit normals) to
+    complex values.  A non-finite value of f or g raises a ValueError
     naming the element or boundary face.
     """
     p = params.p
     order = _data_order(p)
     b = np.zeros((mesh.n_elements, dim_poly(p)), dtype=complex)
 
-    ev, pts, w = _volume_tables(mesh, p, order)
-    vals = ev.values
-    del ev  # frees unshared power tables before f is evaluated
-    fv = _source_values(f, pts).astype(complex)
-    b += np.einsum("eqi,eq->ei", vals, fv * w)
+    if f is not None:
+        ev, pts, w = _volume_tables(mesh, p, order)
+        vals = ev.values
+        del ev  # frees unshared power tables before f is evaluated
+        fv = _source_values(f, pts).astype(complex)
+        b += np.einsum("eqi,eq->ei", vals, fv * w)
 
     fb = mesh.boundary_faces
     evb, pts_b, wb = _face_tables(mesh, "element", p, order)

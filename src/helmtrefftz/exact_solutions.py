@@ -1,10 +1,11 @@
 """Closed-form Helmholtz solutions with derived source and impedance data.
 
-Every case bundles u, grad u, the source f = -lap(u) - omega^2 u, and the
-impedance trace g = grad(u).n + i omega u.  g is always derived from u
-and grad u, never stated independently, so impedance consistency holds
-by construction.  All callables are vectorized over point arrays of
-shape (..., 2).
+Every case bundles u, grad u, the source f = -lap(u) - omega^2 u (None
+when it vanishes identically), and the impedance trace
+g = grad(u).n + i omega u.  g is always derived from u and grad u,
+never stated independently, so impedance consistency holds by
+construction.  All callables are vectorized over point arrays of shape
+(..., 2).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import j0, j1, y0, y1
 
 from .dg_assembly import omega_values
 
@@ -33,13 +33,15 @@ class ManufacturedCase:
     omega is a float for constant wavenumbers or a vectorized callable
     for spatially varying ones; omega_report is the value written to
     experiment tables (a label string for the varying case) and
-    omega_representative feeds resolution measures.
+    omega_representative feeds resolution measures.  f is None for a
+    source-free case: the solve then skips the load's volume term and the
+    particular field, both zero.
     """
 
     omega: float | Callable
     u: Callable
     grad_u: Callable
-    f: Callable
+    f: Callable | None
     omega_report: float | str = 0.0
     omega_representative: float = 0.0
 
@@ -62,8 +64,11 @@ def hankel_case(omega: float = 10.0, source_point=(-0.25, 0.0)) -> ManufacturedC
 
     u = H0^(1)(omega |x - x0|) = J0 + i Y0, evaluated with scipy.special,
     with the source point x0 outside the closed domain, so u is smooth
-    inside and f vanishes identically.
+    inside and f vanishes identically (f is None).
     """
+    # imported here, so that importing the package leaves scipy.special out
+    from scipy.special import j0, j1, y0, y1
+
     _check_wavenumber(omega)
     x0 = np.asarray(source_point, dtype=float)
     if 0.0 <= x0[0] <= 1.0 and 0.0 <= x0[1] <= 1.0:
@@ -88,21 +93,21 @@ def hankel_case(omega: float = 10.0, source_point=(-0.25, 0.0)) -> ManufacturedC
         dH = -omega * (j1(x) + 1j * y1(x))
         return (dH / r)[..., None] * d
 
-    def f(points):
-        return np.zeros(np.asarray(points).shape[:-1], dtype=complex)
-
     return ManufacturedCase(
         omega=float(omega),
         u=u,
         grad_u=grad_u,
-        f=f,
+        f=None,
         omega_report=float(omega),
         omega_representative=float(omega),
     )
 
 
 def plane_wave_case(omega: float) -> ManufacturedCase:
-    """Unit-amplitude plane wave exp(i omega (x - y)/sqrt(2)) on the unit disk."""
+    """Unit-amplitude plane wave exp(i omega (x - y)/sqrt(2)) on the unit disk.
+
+    It solves the homogeneous equation, so f is None.
+    """
     _check_wavenumber(omega)
     d = np.array([1.0, -1.0]) / np.sqrt(2.0)
 
@@ -113,14 +118,11 @@ def plane_wave_case(omega: float) -> ManufacturedCase:
     def grad_u(points):
         return (1j * omega * u(points))[..., None] * d
 
-    def f(points):
-        return np.zeros(np.asarray(points).shape[:-1], dtype=complex)
-
     return ManufacturedCase(
         omega=float(omega),
         u=u,
         grad_u=grad_u,
-        f=f,
+        f=None,
         omega_report=float(omega),
         omega_representative=float(omega),
     )

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -91,14 +92,19 @@ _DEFAULT_LEVELS = {
 }
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer; bool is refused."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment run: method set, degrees, refinement ladder, output."""
 
     experiment: str
     methods: tuple[str, ...] = ("embedded", "standard")
-    degrees: tuple[int, ...] = ()
-    levels: int = 0
+    degrees: tuple[int, ...] = ()  # () means the experiment's default
+    levels: int | None = None  # None means the experiment's default
     omegas: tuple[float, ...] = ()  # planewave only; () means (100.0,)
     alpha: float = 10.0
     out: str | Path | None = None
@@ -116,12 +122,15 @@ class RunConfig:
         if not self.methods:
             raise ValueError("need at least one method")
         degrees = tuple(self.degrees) or _DEFAULT_DEGREES[self.experiment]
-        if any(p < 1 for p in degrees):
-            raise ValueError(f"degrees must be >= 1, got {degrees}")
-        object.__setattr__(self, "degrees", degrees)
-        levels = self.levels or _DEFAULT_LEVELS[self.experiment]
-        if levels < 1:
-            raise ValueError("need at least one refinement level")
+        if not all(_is_integer(p) and p >= 1 for p in degrees):
+            raise ValueError(f"degrees must be integers >= 1, got {degrees}")
+        object.__setattr__(self, "degrees", tuple(int(p) for p in degrees))
+        levels = self.levels
+        if levels is None:
+            levels = _DEFAULT_LEVELS[self.experiment]
+        if not (_is_integer(levels) and levels >= 1):
+            raise ValueError(f"levels must be an integer >= 1, got levels={levels}")
+        levels = int(levels)
         if self.experiment == "sinsin" and levels > 1:
             raise ValueError(
                 f"sinsin runs on one fixed mesh; levels must be 1, got levels={levels}"
@@ -158,7 +167,7 @@ class RunConfig:
 def solve(
     mesh: Mesh,
     params: FormParameters,
-    f: Callable,
+    f: Callable | None,
     g: Callable,
     methods: Sequence[str] = ("embedded", "standard"),
     context: str | None = None,
@@ -175,9 +184,12 @@ def solve(
     constraints read one set of volume tables, and then the load vector
     and the particular field another, each dropped before the next is
     built and before the first factorization; the SIPDG assembly builds
-    its own.  Each field carries the number of dofs its method solved
-    for.  A near-singular system raises SingularSystemError with context
-    (by default p and h) and the method in its message.
+    its own.  f None means no source: the load vector is then the
+    boundary term alone and the particular field zero, neither built from
+    volume tables, bitwise what a zero source gives.  Each field carries
+    the number of dofs its method solved for.  A near-singular system
+    raises SingularSystemError with context (by default p and h) and the
+    method in its message.
     """
     if params.p < 1:
         raise ValueError(f"DG solve needs p >= 1, got p={params.p}")

@@ -58,7 +58,10 @@ sum in another order and move the last bits.
 
 Triangle quadrature uses a collapsed Gauss-Legendre x Gauss-Jacobi
 product rule on the reference triangle: positive weights, exact for any
-requested total degree in the supported range.
+requested total degree in the supported range.  The Gauss-Jacobi
+factor is computed here, by the steps of scipy.special.roots_jacobi
+(bitwise its nodes and weights), so that importing the package does
+not load scipy.special.
 """
 
 from __future__ import annotations
@@ -67,10 +70,11 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
+from scipy.linalg import eigvals_banded
 
 from .mesh import Mesh, cross2
 
@@ -195,6 +199,62 @@ class QuadratureRule:
     order: int  # exact for total degree <= order
 
 
+def _jacobi(n: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Jacobi polynomial P_n^(a, b)(x) for integer n, a, b >= 0.
+
+    The recurrence of scipy.special.eval_jacobi, operation for operation.
+    """
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return 0.5 * (2 * (a + 1) + (a + b + 2) * (x - 1))
+    d = (a + b + 2) * (x - 1) / (2 * (a + 1))
+    p = d + 1
+    for j in range(1, n):
+        k = float(j)
+        t = 2 * k + a + b
+        d = ((t * (t + 1) * (t + 2)) * (x - 1) * p + 2 * k * (k + b) * (t + 2) * d) / (
+            2 * (k + a + 1) * (k + a + b + 1) * t
+        )
+        p = d + p
+    return comb(n + int(a), n) * p
+
+
+def _gauss_jacobi_10(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule for the weight (1 - t) on [-1, 1], n points.
+
+    The steps of scipy.special.roots_jacobi(n, 1.0, 0.0): Golub-Welsch
+    eigenvalues of the Jacobi matrix, one Newton step, and weights from
+    log-normalized values, scaled to the weight's integral 2.
+    """
+    a, b = 1.0, 0.0
+    k = np.arange(n, dtype=float)
+    kk = k[1:]
+    band = np.zeros((2, n))
+    band[0, 1:] = (
+        2.0
+        / (2.0 * kk + a + b)
+        * np.sqrt((kk + a) * (kk + b) / (2 * kk + a + b + 1))
+        * np.where(kk == 1, 1.0, np.sqrt(kk * (kk + a + b) / (2.0 * kk + a + b - 1)))
+    )
+    band[1] = np.where(
+        k == 0,
+        (b - a) / (2 + a + b),
+        (b * b - a * a) / ((2.0 * k + a + b) * (2.0 * k + a + b + 2)),
+    )
+    x = eigvals_banded(band, overwrite_a_band=True)
+    dy = 0.5 * (n + a + b + 1) * _jacobi(n - 1, a + 1, b + 1, x)
+    x -= _jacobi(n, a, b, x) / dy
+    fm = _jacobi(n - 1, a, b, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=None)
 def quadrature_rule(order: int) -> QuadratureRule:
     """Collapsed product rule exact for all polynomials up to `order`."""
@@ -204,7 +264,7 @@ def quadrature_rule(order: int) -> QuadratureRule:
     tg, wg = leggauss(n)  # weight 1 on [-1, 1]
     xi = 0.5 * (tg + 1.0)
     wxi = 0.5 * wg
-    tj, wj = roots_jacobi(n, 1.0, 0.0)  # weight (1-t) on [-1, 1]
+    tj, wj = _gauss_jacobi_10(n)  # weight (1-t) on [-1, 1]
     eta = 0.5 * (tj + 1.0)
     weta = 0.25 * wj
 

@@ -5,8 +5,10 @@ embedded method never builds Trefftz shape functions explicitly.
 Per element it computes a particular solution of the local constraint
 via the pseudo-inverse, stacks the orthonormal constraint kernels into a
 block-diagonal embedding E, reduces the global SIPDG system to
-E^T A E y = E^T (b - A u_f), and reconstructs u = E y + u_f.  The
-reduced matrix inherits complex symmetry from A because E is real.
+E^T A E y = E^T (b - A u_f), and reconstructs u = E y + u_f.  Without
+a source (f None) u_f is zero, returned without building anything, and
+adds nothing to either sum.  The reduced matrix inherits complex
+symmetry from A because E is real.
 
 Every basis change here (the embedding, and the whitening
 preconditioners that make each element basis L2-orthonormal) is block
@@ -28,7 +30,10 @@ nested-dissection order: the congruence writes each tile straight to its
 place in that order, into the CSC arrays that SuperLU factors, and the
 COLAMD fallback factors that same matrix.  A reciprocal condition
 estimate below 1e-13 raises SingularSystemError, which signals a mesh
-too coarse for the requested wavenumber.
+too coarse for the requested wavenumber.  Its sigma_min and sigma_max
+come from one Lanczos routine: 5 steps, with full reorthogonalization,
+on (A A^H)^-1 (10 solves per factor) and on A^H A.  The solution never
+reads them.
 """
 
 from __future__ import annotations
@@ -62,8 +67,9 @@ __all__ = [
 
 RCOND_THRESHOLD = 1e-13
 REFINED_BACKWARD_ERROR = 1e-12
-# power steps of the sigma_max and sigma_min estimates
-_POWER_STEPS = 8
+# Lanczos steps (operator applications) of the sigma_max and sigma_min
+# estimates
+_LANCZOS_STEPS = 5
 
 
 class SingularSystemError(RuntimeError):
@@ -119,12 +125,18 @@ def build_global_embedding(local: LocalTrefftzData) -> GlobalEmbedding:
     )
 
 
-def particular_field(mesh: Mesh, local: LocalTrefftzData, f: Callable) -> np.ndarray:
+def particular_field(
+    mesh: Mesh, local: LocalTrefftzData, f: Callable | None
+) -> np.ndarray:
     """Stack the per-element minimum-norm particular solutions.
 
-    Elements whose moments lie outside the range of their constraint are
-    reported together in one warning naming the worst residual.
+    For f None (no source) the field is zero, returned without building
+    or evaluating anything.  Elements whose moments lie outside the range
+    of their constraint are reported together in one warning naming the
+    worst residual.
     """
+    if f is None:
+        return np.zeros(local.matrices.shape[0] * local.matrices.shape[2], complex)
     moments = all_local_rhs(mesh, local.degree, f)
     coeffs, resid, incompatible = _pseudo_inverse_solve(local, moments)
     if incompatible.any():
@@ -202,11 +214,13 @@ def _block_congruence(
     A's nonzero blocks stream through in tiles of at most _CONGRUENCE_TILE
     entries per stage temporary.  The stages run in order, each as
     (T_r^T (A_rc T_c)) on every block of the tile, with the real and
-    imaginary parts apart; einsum with the summed index outside its inner
-    loop adds the terms of every entry in index order, so the values
-    equal those of the sparse product T^T (A T).  Each tile is written
-    straight to its place in CSC arrays allocated once, with the row
-    indices sorted within each column and exact zeros dropped.
+    imaginary parts apart (the imaginary part only on the blocks that
+    have one, the diagonal blocks of boundary elements); einsum with the
+    summed index outside its inner loop adds the terms of every entry in
+    index order, so the values equal those of the sparse product
+    T^T (A T).  Each tile is written straight to its place in CSC arrays
+    allocated once, with the row indices sorted within each column and
+    exact zeros dropped.
     """
     n = A.shape[0] // len(sizes)
     bsr = A.tobsr(blocksize=(n, n))  # A itself when assembled as BSR
@@ -231,23 +245,30 @@ def _block_congruence(
     data = np.empty(indptr[-1], dtype=complex)
     indices = np.empty(indptr[-1], dtype=index_dtype)
     transposed = [np.ascontiguousarray(T.swapaxes(1, 2)) for T in bases]
+
+    def congruence(D, r, c):
+        for T, T_t in zip(bases, transposed):
+            D = np.einsum("bij,bjk->bik", T_t[r], np.einsum("bij,bjk->bik", D, T[c]))
+        return D
+
     idx = np.arange(bases[-1].shape[2])
     step = max(1, _CONGRUENCE_TILE // (n * n))
     for t in range(0, len(cols), step):
         r, c = rows[t : t + step], cols[t : t + step]
         blocks = bsr.data[t : t + step]
-        parts = [np.ascontiguousarray(blocks.real), np.ascontiguousarray(blocks.imag)]
-        for T, T_t in zip(bases, transposed):
-            left, right = T_t[r], T[c]
-            parts = [
-                np.einsum("bij,bjk->bik", left, np.einsum("bij,bjk->bik", D, right))
-                for D in parts
-            ]
+        real = congruence(np.ascontiguousarray(blocks.real), r, c)
+        # only the impedance makes a block complex; every stage of a zero
+        # block sums its products from +0.0, so its result is +0.0
+        imag = np.zeros_like(real)
+        complex_blocks = np.flatnonzero(blocks.imag.any(axis=(1, 2)))
+        imag[complex_blocks] = congruence(
+            blocks.imag[complex_blocks], r[complex_blocks], c[complex_blocks]
+        )
         keep = (idx[:, None] < sizes[r, None, None]) & (idx < sizes[c, None, None])
         slots = idx[:, None] + idx * counts[c, None, None]
         slots = (first[t : t + step, None, None] + slots)[keep]
-        data.real[slots] = parts[0][keep]
-        data.imag[slots] = parts[1][keep]
+        data.real[slots] = real[keep]
+        data.imag[slots] = imag[keep]
         indices[slots] = np.broadcast_to(
             offsets[r, None, None] + idx[:, None], keep.shape
         )[keep]
@@ -286,36 +307,58 @@ def _basis_apply(bases: list[np.ndarray], y: np.ndarray, sizes: np.ndarray) -> n
     return v.ravel()
 
 
+def _largest_ritz_value(apply: Callable, v: np.ndarray) -> float:
+    """Largest Ritz value of a Hermitian positive semidefinite operator.
+
+    Runs _LANCZOS_STEPS Lanczos steps from the unit vector v, with every
+    new vector reorthogonalized against all earlier ones (classical
+    Gram-Schmidt, twice), and returns the largest eigenvalue of the
+    tridiagonal projection: a lower bound of the largest eigenvalue, to
+    rounding.  The run stops early once the Krylov space is invariant,
+    and a non-finite step gives NaN.
+    """
+    basis = np.empty((_LANCZOS_STEPS, v.size), dtype=complex)
+    alpha, beta = [], []
+    for k in range(_LANCZOS_STEPS):
+        basis[k] = v
+        w = apply(v)
+        alpha.append(np.vdot(v, w).real)
+        if k == _LANCZOS_STEPS - 1:
+            break
+        for _ in range(2):
+            w -= basis[: k + 1].T @ (basis[: k + 1] @ w.conj()).conj()
+        norm = np.linalg.norm(w)
+        if not norm > np.finfo(float).eps * max(alpha):
+            break
+        beta.append(norm)
+        v = w / norm
+    T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    if not np.isfinite(T).all():
+        return np.nan
+    return float(np.linalg.eigvalsh(T)[-1])
+
+
 def _estimate_sigma_max(A: sp.spmatrix, ordering: np.ndarray) -> float:
-    """Power estimate of ||A||_2; A^H w is formed as conj(A^T conj(w)),
-    without a conjugated copy of A.  The start vector is permuted with
-    the ordering that A is in, so the estimate is that of the
-    natural-order matrix up to the rounding of the sums."""
+    """Lanczos estimate of ||A||_2, from below; A^H w is formed as
+    conj(A^T conj(w)), without a conjugated copy of A.  The start vector
+    is permuted with the ordering that A is in, so the estimate is that
+    of the natural-order matrix up to the rounding of the sums."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
-    v = v[ordering]
-    lam = 0.0
-    for _ in range(_POWER_STEPS):
-        w = (A.T @ (A @ v).conj()).conj()
-        lam = np.linalg.norm(w)
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
+    lam = _largest_ritz_value(lambda v: (A.T @ (A @ v).conj()).conj(), v[ordering])
     return float(np.sqrt(lam))
 
 
 def _estimate_sigma_min(lu, size: int) -> float:
+    """Lanczos estimate of the smallest singular value of the factored
+    matrix, from above, on (A A^H)^-1 with two solves per step."""
     rng = np.random.default_rng(1)
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_STEPS):
-        w = lu.solve(lu.solve(v, "N"), "H")
-        lam = np.linalg.norm(w)
-        if lam == 0.0:
-            return np.inf
-        v = w / lam
+    lam = _largest_ritz_value(lambda v: lu.solve(lu.solve(v, "N"), "H"), v)
+    if lam == 0.0:
+        return np.inf
     return float(1.0 / np.sqrt(lam))
 
 

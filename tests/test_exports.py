@@ -3,8 +3,10 @@ exports, and every third-party module the tests import is declared."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,3 +69,17 @@ def test_test_imports_are_declared():
                     continue
                 assert top not in test_modules, f"{path.name} imports test module {top}"
                 assert top in declared, f"{path.name} imports undeclared {top!r}"
+
+
+def test_package_import_leaves_scipy_special_out():
+    # scipy.special costs tens of milliseconds of import time; only
+    # hankel_case reads it, and imports it when called
+    env = dict(os.environ)
+    src = str(Path(helmtrefftz.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, helmtrefftz; print('scipy.special' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -158,6 +158,24 @@ def test_config_rejects_bad_bump_and_cap(field, value):
         RunConfig(**{"experiment": "planewave", "degrees": (2,), field: value})
 
 
+@pytest.mark.parametrize("levels", [0, -1, 2.0, True])
+def test_config_rejects_levels_below_one_or_not_integer(levels):
+    # levels=0 used to mean the default ladder; None is the default now
+    with pytest.raises(ValueError, match="levels"):
+        RunConfig(experiment="hankel", levels=levels)
+    assert RunConfig(experiment="hankel").levels == 4
+    assert RunConfig(experiment="hankel", levels=None).levels == 4
+
+
+@pytest.mark.parametrize("degree", [2.5, 3.0, True, "3"])
+def test_config_rejects_degrees_that_are_not_integers(degree):
+    # a float degree used to be kept, and a bool read as 1
+    with pytest.raises(ValueError, match="degrees"):
+        RunConfig(experiment="sinsin", degrees=[degree])
+    config = RunConfig(experiment="sinsin", degrees=[np.int64(3)])
+    assert config.degrees == (3,) and type(config.degrees[0]) is int
+
+
 def test_config_rejects_levels_for_sinsin():
     # sinsin has one fixed mesh; a second level used to be dropped silently
     with pytest.raises(ValueError, match="levels"):
@@ -315,6 +333,7 @@ def test_cli_rejects_bad_parameters(tmp_path, capsys, option, value, field):
         ("hankel", "--omega", "55", "omegas"),
         ("sinsin", "--levels", "2", "levels"),
         ("planewave", "--levels", "15", "levels"),
+        ("hankel", "--levels", "0", "levels"),
     ],
 )
 def test_cli_rejects_ignored_settings(

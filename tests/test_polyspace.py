@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from helmtrefftz.mesh import (
     build_unit_disk_mesh,
@@ -23,6 +24,7 @@ from helmtrefftz.polyspace import (
     _element_tables,
     _face_quadrature,
     _face_tables,
+    _gauss_jacobi_10,
     _gram_order,
     _monomial_tables,
     _volume_tables,
@@ -324,6 +326,16 @@ def test_triangle_quadrature_moments(order, reference=None):
             val = np.sum(w * pts[:, 0] ** a * pts[:, 1] ** b)
             exact = float(reference_moment(a, b))
             assert val == pytest.approx(exact, rel=1e-13, abs=1e-16)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_gauss_jacobi_rule_bitwise_scipy(n):
+    # the triangle rules of orders 1..30 read n = 1..16 points; the rule
+    # is computed without scipy.special, bit for bit its roots_jacobi
+    x, w = _gauss_jacobi_10(n)
+    x_ref, w_ref = roots_jacobi(n, 1.0, 0.0)
+    assert x.tobytes() == x_ref.tobytes()
+    assert w.tobytes() == w_ref.tobytes()
 
 
 def test_quadrature_weights_sum_to_area():

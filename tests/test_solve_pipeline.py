@@ -101,6 +101,33 @@ def test_zero_data_gives_zero_solution():
         assert np.abs(field.coefficients).max() <= 1e-12
 
 
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_no_source_is_bitwise_the_zero_source(p):
+    # f=None skips the load's volume term and the particular field; b,
+    # u_f and both solutions keep every bit of a zero callable, signs of
+    # zeros included
+    mesh = build_unit_disk_mesh(3)
+    case = plane_wave_case(20.0)
+    params = FormParameters(omega=20.0, p=p)
+    b = assemble_rhs(mesh, params, None, case.g)
+    assert np.array_equal(_bits(b), _bits(assemble_rhs(mesh, params, zero_f, case.g)))
+    if p >= 2:
+        local = all_local_trefftz(mesh, p, 20.0)
+        u_f = particular_field(mesh, local, None)
+        assert np.array_equal(_bits(u_f), _bits(particular_field(mesh, local, zero_f)))
+    without = solve(mesh, params, None, case.g)
+    with_zero = solve(mesh, params, zero_f, case.g)
+    for method in ("embedded", "standard"):
+        assert without[method].dofs == with_zero[method].dofs
+        assert np.array_equal(
+            _bits(without[method].coefficients), _bits(with_zero[method].coefficients)
+        )
+
+
 def test_p1_methods_agree(splu_calls):
     # the Trefftz space equals the broken space at p=1: one factorization,
     # and both fields carry the same coefficients and dofs
@@ -303,8 +330,9 @@ def test_ordered_reduced_matrix_on_shuffled_disks(seed, p):
 
 
 def test_sigma_max_estimate_without_adjoint_copy():
-    # conj(A^T conj(w)) is bitwise A^H w, so the estimate is unchanged;
-    # in another dof order it moves only by the rounding of the sums
+    # conj(A^T conj(w)) is bitwise A^H w, so the estimate is the Lanczos
+    # run on A^H A; in another dof order it moves only by the rounding of
+    # the sums
     rng = np.random.default_rng(5)
     A = sp.random(300, 300, density=0.05, format="csc", random_state=rng)
     A = A + 1j * sp.random(300, 300, density=0.05, format="csc", random_state=rng)
@@ -316,16 +344,29 @@ def test_sigma_max_estimate_without_adjoint_copy():
     v = rng.standard_normal(300) + 1j * rng.standard_normal(300)
     v /= np.linalg.norm(v)
     AH = A.conj().T
-    for _ in range(8):
-        w = AH @ (A @ v)
-        lam = np.linalg.norm(w)
-        v = w / lam
+    lam = solve_pipeline._largest_ritz_value(lambda v: AH @ (A @ v), v)
     assert _estimate_sigma_max(A, np.arange(300)) == np.sqrt(lam)
+    exact = np.linalg.norm(A.toarray(), 2)
+    assert exact * 0.9 <= np.sqrt(lam) <= exact * (1.0 + 1e-12)
 
     ordering = np.random.default_rng(6).permutation(300)
     permuted = sp.csc_matrix(A[ordering][:, ordering])
     sigma = _estimate_sigma_max(permuted, ordering)
     assert abs(sigma - np.sqrt(lam)) <= 1e-12 * np.sqrt(lam)
+
+
+def test_lanczos_stops_on_an_invariant_krylov_space():
+    # two distinct eigenvalues: the second step spans an invariant space,
+    # whose largest Ritz value is the largest eigenvalue; a zero operator
+    # gives 0, and a non-finite step NaN
+    diag = np.ones(50)
+    diag[7] = 1e30
+    v = np.random.default_rng(2).standard_normal(50) + 0j
+    v /= np.linalg.norm(v)
+    ritz = solve_pipeline._largest_ritz_value
+    assert ritz(lambda v: diag * v, v) == pytest.approx(1e30, rel=1e-14)
+    assert ritz(lambda v: 0.0 * v, v) == 0.0
+    assert np.isnan(ritz(lambda v: np.full_like(v, np.nan), v))
 
 
 def _congruence_peak_ratio(A, bases, sizes, order):
@@ -565,11 +606,16 @@ BENCHMARK_WORKLOADS = runpy.run_path(
 )["WORKLOADS"]
 
 
-@pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
-def test_benchmark_rungs_take_no_fallback(workload, monkeypatch):
-    # every benchmark rung is solved in dissection order with diagonal
-    # pivots alone, so the fallback cannot move a byte of its CSV
-    specs, rconds = [], []
+# the factorizations whose sigma_min estimate is checked against a dense SVD
+_DENSE_SVD_SIZE = 1600
+
+
+@pytest.fixture(scope="module", params=sorted(BENCHMARK_WORKLOADS))
+def benchmark_factorizations(request):
+    """Run one benchmark workload; (workload, SuperLU column orders of every
+    factorization, [(sigma_min estimate, sigma_max, factored matrix at
+    most _DENSE_SVD_SIZE dofs or None)] of every guarded solve)."""
+    specs, solves = [], []
     splu, guarded = spla.splu, solve_pipeline._guarded_lu_solve
 
     def splu_spy(A, *args, **kwargs):
@@ -578,11 +624,36 @@ def test_benchmark_rungs_take_no_fallback(workload, monkeypatch):
 
     def guarded_spy(M, rhs, sigma_max, **options):
         x, sigma_min, backward = guarded(M, rhs, sigma_max, **options)
-        rconds.append(sigma_min / sigma_max)
+        small = M.copy() if M.shape[0] <= _DENSE_SVD_SIZE else None
+        solves.append((sigma_min, sigma_max, small))
         return x, sigma_min, backward
 
-    monkeypatch.setattr(spla, "splu", splu_spy)
-    monkeypatch.setattr(solve_pipeline, "_guarded_lu_solve", guarded_spy)
-    run_experiment(RunConfig(**BENCHMARK_WORKLOADS[workload]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spla, "splu", splu_spy)
+        patch.setattr(solve_pipeline, "_guarded_lu_solve", guarded_spy)
+        run_experiment(RunConfig(**BENCHMARK_WORKLOADS[request.param]))
+    return request.param, specs, solves
+
+
+def test_benchmark_rungs_take_no_fallback(benchmark_factorizations):
+    # every benchmark rung is solved in dissection order with diagonal
+    # pivots alone, so the fallback cannot move a byte of its CSV
+    workload, specs, solves = benchmark_factorizations
     assert specs and set(specs) == {"NATURAL"}
+    rconds = [sigma_min / sigma_max for sigma_min, sigma_max, _ in solves]
     print(f"{workload}: smallest rcond estimate {min(rconds):.3g}")
+
+
+def test_sigma_min_estimate_on_benchmark_rungs(benchmark_factorizations):
+    # the Lanczos estimate bounds sigma_min from above, to rounding, and
+    # lies within 5 % of the dense SVD's value on every small factorization;
+    # the SVD itself is exact only to about eps * sigma_max
+    workload, _, solves = benchmark_factorizations
+    checked = [(s, M) for s, _, M in solves if M is not None]
+    assert checked
+    for estimate, M in checked:
+        sigma = np.linalg.svd(M.toarray(), compute_uv=False)
+        exact, rounding = sigma[-1], np.finfo(float).eps * sigma[0]
+        print(f"{workload}: n={M.shape[0]} sigma_min estimate/exact - 1 = "
+              f"{estimate / exact - 1.0:+.2e}")
+        assert exact * (1.0 - 1e-12) - rounding <= estimate <= exact * 1.05
