@@ -51,6 +51,7 @@ array outlives a tile.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,6 +63,7 @@ from .polyspace import (
     _data_order,
     _face_tables,
     _gram_order,
+    _own_tables,
     _volume_tables,
     _weighted_gram,
     dim_poly,
@@ -76,9 +78,18 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer; bool is refused."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FormParameters:
-    """Wavenumber (constant or spatial function), penalty, and degree."""
+    """Wavenumber (constant or spatial function), penalty, and degree.
+
+    p must be an integer (a numpy integer is kept as an int; bool is
+    refused).
+    """
 
     omega: float | Callable
     p: int
@@ -89,8 +100,9 @@ class FormParameters:
             raise ValueError(
                 f"penalty must be finite and positive, got alpha={self.alpha}"
             )
-        if self.p < 0:
-            raise ValueError(f"degree must be nonnegative, got p={self.p}")
+        if not (_is_integer(self.p) and self.p >= 0):
+            raise ValueError(f"degree must be an integer >= 0, got p={self.p!r}")
+        object.__setattr__(self, "p", int(self.p))
         if not callable(self.omega) and not (
             math.isfinite(self.omega) and self.omega > 0.0
         ):
@@ -302,15 +314,19 @@ def assemble_sipdg(mesh: Mesh, params: FormParameters) -> sp.bsr_matrix:
     """Assemble the SIPDG matrix A with A[i, j] = a_h(phi_j, phi_i).
 
     A is a BSR matrix with blocksize (n, n), n = dim P^p: one block per
-    element and per (plus, minus) pair of every interior face.
+    element and per (plus, minus) pair of every interior face.  Its
+    tables are its own, even inside a scope that shares tables of its
+    rule: joining a shared set raised the peak memory of a solve in
+    trials.
     """
     elems = np.arange(mesh.n_elements)
     el_b = mesh.boundary_faces["element"]
-    segments = [
-        (_volume_blocks(mesh, params), elems, elems),
-        *_interior_face_blocks(mesh, params),
-        (_impedance_blocks(mesh, params), el_b, el_b),
-    ]
+    with _own_tables():
+        segments = [
+            (_volume_blocks(mesh, params), elems, elems),
+            *_interior_face_blocks(mesh, params),
+            (_impedance_blocks(mesh, params), el_b, el_b),
+        ]
     return _sum_block_rows(segments, mesh.n_elements, dim_poly(params.p))
 
 

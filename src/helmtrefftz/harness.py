@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import io
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dg_assembly import FormParameters, assemble_rhs, assemble_sipdg
+from .dg_assembly import FormParameters, _is_integer, assemble_rhs, assemble_sipdg
 from .error_analysis import ErrorReport, dg_error, dofs_per_wavelength, eoc, l2_error
 from .exact_solutions import (
     ManufacturedCase,
@@ -45,7 +44,13 @@ from .exact_solutions import (
 )
 from .local_trefftz import all_local_trefftz
 from .mesh import Mesh, build_unit_disk_mesh, build_unit_square_mesh
-from .polyspace import _element_mass_grams, _shared_tables, dim_poly
+from .polyspace import (
+    _data_order,
+    _element_mass_grams,
+    _gram_order,
+    _shared_tables,
+    dim_poly,
+)
 from .solve_pipeline import (
     SolutionField,
     _direct_solve,
@@ -92,9 +97,19 @@ _DEFAULT_LEVELS = {
 }
 
 
-def _is_integer(value) -> bool:
-    """An int or numpy integer; bool is refused."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _refuse_repeats(name: str, values: tuple) -> None:
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} repeat, got {name}={values}")
+
+
+def _check_methods(methods: tuple) -> None:
+    """Refuse an unknown, missing or repeated method."""
+    for m in methods:
+        if m not in METHOD_TAGS:
+            raise ValueError(f"unknown method {m!r}")
+    if not methods:
+        raise ValueError("need at least one method")
+    _refuse_repeats("methods", methods)
 
 
 @dataclass(frozen=True)
@@ -116,11 +131,7 @@ class RunConfig:
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
             )
         object.__setattr__(self, "methods", tuple(self.methods))
-        for m in self.methods:
-            if m not in METHOD_TAGS:
-                raise ValueError(f"unknown method {m!r}")
-        if not self.methods:
-            raise ValueError("need at least one method")
+        _check_methods(self.methods)
         degrees = tuple(self.degrees) or _DEFAULT_DEGREES[self.experiment]
         if not all(_is_integer(p) and p >= 1 for p in degrees):
             raise ValueError(f"degrees must be integers >= 1, got {degrees}")
@@ -158,10 +169,8 @@ class RunConfig:
             )
         if self.dof_cap < 1:
             raise ValueError(f"dof_cap must be >= 1, got dof_cap={self.dof_cap}")
-        for name in ("methods", "degrees", "omegas"):
-            values = getattr(self, name)
-            if len(set(values)) < len(values):
-                raise ValueError(f"{name} repeat, got {name}={values}")
+        for name in ("degrees", "omegas"):
+            _refuse_repeats(name, getattr(self, name))
 
 
 def solve(
@@ -180,38 +189,49 @@ def solve(
     "standard" solves the system on the broken degree-p space, "embedded"
     the reduced system on the embedded Trefftz space, which for p < 2 is
     the broken space itself: that system is solved once, as "standard",
-    and both fields share its coefficients.  The mass Grams and the local
-    constraints read one set of volume tables, and then the load vector
-    and the particular field another, each dropped before the next is
-    built and before the first factorization; the SIPDG assembly builds
-    its own.  f None means no source: the load vector is then the
-    boundary term alone and the particular field zero, neither built from
-    volume tables, bitwise what a zero source gives.  Each field carries
-    the number of dofs its method solved for.  A near-singular system
-    raises SingularSystemError with context (by default p and h) and the
-    method in its message.
+    and both fields share its coefficients.  methods must be known and
+    distinct.
+
+    Tables: the mass Grams and the local constraints read one set at the
+    Gram rule, dropped before the first factorization; the load vector
+    and the particular field read one at the data rule, which outlives
+    the solve when the caller holds a scope of that rule open (_rung
+    does, for the error rows).  The SIPDG assembly builds its own.  Both
+    preconditioners are built before the first factorization, which
+    sets the peak memory; from there on only the embedding is kept of
+    the local data, and the mass Grams are dropped.
+
+    f None means no source: the load vector is then the boundary term
+    alone and the particular field zero, neither built from volume
+    tables, bitwise what a zero source gives.  Each field carries the
+    number of dofs its method solved for.  A near-singular system raises
+    SingularSystemError with context (by default p and h) and the method
+    in its message.
     """
+    methods = tuple(methods)
     if params.p < 1:
         raise ValueError(f"DG solve needs p >= 1, got p={params.p}")
-    for method in methods:
-        if method not in METHOD_TAGS:
-            raise ValueError(f"unknown method {method!r}")
+    _check_methods(methods)
     if context is None:
         context = f"p={params.p}, h={mesh.max_diameter:.4g}"
     A = assemble_sipdg(mesh, params)
     embedded = "embedded" in methods and params.p >= 2
-    # the readers of each rule share one set of tables, dropped before the
-    # next rule's is built and before the first LU, which sets the peak
-    # memory
-    with _shared_tables():
+    local = u_f = whitener = precond = None
+    with _shared_tables(_gram_order(params.p)):
         mass_grams = _element_mass_grams(mesh, params.p)
         if embedded:
             local = all_local_trefftz(mesh, params.p, params.omega, mass_grams)
             embedding = build_global_embedding(local)
-    with _shared_tables():
+    with _shared_tables(_data_order(params.p)):
         b = assemble_rhs(mesh, params, f, g)
         if embedded:
             u_f = particular_field(mesh, local, f)
+    # the first LU sets the peak memory: nothing dead may be alive there
+    if "standard" in methods or params.p < 2:
+        whitener = mass_preconditioner(mass_grams)
+    if embedded:
+        precond = embedding_preconditioner(embedding, mass_grams)
+    del local, mass_grams
     out = {}
     broken = None  # the broken-space solution, solved at most once
     for method in methods:
@@ -221,7 +241,7 @@ def solve(
                     A,
                     b,
                     context=f"{context}, {method}",
-                    bases=[mass_preconditioner(mass_grams)],
+                    bases=[whitener],
                     sizes=np.full(mesh.n_elements, dim_poly(params.p)),
                     order=mesh.dissection_order,
                 )
@@ -234,7 +254,7 @@ def solve(
                 embedding,
                 u_f,
                 context=f"{context}, {method}",
-                precond=embedding_preconditioner(embedding, mass_grams),
+                precond=precond,
                 mesh=mesh,
             )
             dofs = embedding.n_columns
@@ -245,25 +265,44 @@ def solve(
 def _report_rows(case: ManufacturedCase, hnr: int, solved) -> list[ErrorReport]:
     """One row per solved field {method: field}, in the order of solved.
 
-    Both norms of every field read one set of volume tables.
+    The norms read the data-rule tables of an open scope of that rule,
+    which _rung holds; outside one each norm builds its own.
     """
-    with _shared_tables():
-        return [
-            ErrorReport(
-                method=METHOD_TAGS[method],
-                p=fld.degree,
-                h=fld.mesh.max_diameter,
-                hnr=hnr,
-                dofs=fld.dofs,
-                l2error=l2_error(fld, case),
-                dgerror=dg_error(fld, case),
-                omega=case.omega_report,
-                dofspwl=dofs_per_wavelength(
-                    fld.dofs, case.omega_representative, fld.mesh.domain_area
-                ),
-            )
-            for method, fld in solved.items()
-        ]
+    return [
+        ErrorReport(
+            method=METHOD_TAGS[method],
+            p=fld.degree,
+            h=fld.mesh.max_diameter,
+            hnr=hnr,
+            dofs=fld.dofs,
+            l2error=l2_error(fld, case),
+            dgerror=dg_error(fld, case),
+            omega=case.omega_report,
+            dofspwl=dofs_per_wavelength(
+                fld.dofs, case.omega_representative, fld.mesh.domain_area
+            ),
+        )
+        for method, fld in solved.items()
+    ]
+
+
+def _rung(
+    config: RunConfig,
+    case: ManufacturedCase,
+    params: FormParameters,
+    mesh: Mesh,
+    hnr: int,
+    context: str,
+) -> list[ErrorReport]:
+    """Solve one rung and report its rows.
+
+    One scope at the data rule spans both: the load vector, the
+    particular field and both norms of every method read one set of
+    volume and boundary tables, dropped when the rung ends.
+    """
+    with _shared_tables(_data_order(params.p)):
+        solved = solve(mesh, params, case.f, case.g, config.methods, context)
+        return _report_rows(case, hnr, solved)
 
 
 def _square_meshes(levels: int) -> list[Mesh]:
@@ -291,8 +330,7 @@ def _run_square_experiment(config: RunConfig, case: ManufacturedCase):
         params = FormParameters(omega=case.omega, p=p, alpha=config.alpha)
         for hnr, mesh in enumerate(meshes):
             context = f"{config.experiment}, p={p}, hnr={hnr}"
-            solved = solve(mesh, params, case.f, case.g, config.methods, context)
-            reports.extend(_report_rows(case, hnr, solved))
+            reports.extend(_rung(config, case, params, mesh, hnr, context))
     return reports
 
 
@@ -316,8 +354,7 @@ def _run_planewave(config: RunConfig):
                     mesh_cache[rings] = build_unit_disk_mesh(rings)
                 mesh = mesh_cache[rings]
                 context = f"planewave, omega={omega:g}, p={p}, rings={rings}"
-                solved = solve(mesh, params, case.f, case.g, config.methods, context)
-                reports.extend(_report_rows(case, hnr, solved))
+                reports.extend(_rung(config, case, params, mesh, hnr, context))
     return reports
 
 

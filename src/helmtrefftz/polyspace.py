@@ -16,29 +16,34 @@ in graded lexicographic order (constant first).  Gradients carry a 1/h
 factor and Laplacians 1/h^2, so all derivative formulas are exact.
 
 Evaluation at points builds one power table per coordinate, X**k and
-Y**k for k = 0..p, with the float-exponent power, and gathers every
-column of the values, gradients and Laplacians from those two tables
-with np.take (C-contiguous results, so downstream einsum sums in a
-fixed order).  Each entry is therefore bitwise the closed form
-X**a * Y**b and its derivative formulas.  Repeated multiplication
-would be cheaper but rounds differently, which moves errors at the
-round-off floor (sinsin p=12).  Derivative tables are built only when
-read.
+Y**k for k = 0..p, with the float-exponent power (columns 0 and 1 are
+1.0 and X, its own results), and gathers every column of the values,
+gradients and Laplacians from those two tables with np.take
+(C-contiguous results, so downstream einsum sums in a fixed order).
+Each entry is therefore bitwise the closed form X**a * Y**b and its
+derivative formulas.  Repeated multiplication would be cheaper but
+rounds differently, which moves errors at the round-off floor (sinsin
+p=12).  Derivative tables are built only when read.
 
-Shared tables.  Outside a _shared_tables scope every call builds its
-own points, weights and power tables and drops them with its result.
-Inside one, _volume_tables over all elements and _face_tables keep one
-set per (mesh, where, order) until the outermost scope closes: the
-points and weights once, and the power tables up to the highest degree
-read so far, of which a lower degree reads the first columns
-(bitwise the tables it would build).  harness.solve opens one scope
-for the mass Grams and the local constraints (trial degree p, test
-degree p-2) at the Gram rule, then one for the load vector (volume
-and boundary terms) and the particular field at the data rule, so
-that one set is alive at a time and none at the first LU
-factorization, which sets the peak memory; harness._report_rows opens
-one for both error norms of every method.  The SIPDG assembly, the
-DG-norm Grams and the one-element diagnostics build their own.
+Shared tables.  A _shared_tables(order) scope shares the tables of one
+rule order; outside a scope of its order every call builds its own
+points, weights and power tables and drops them with its result.
+Inside one, _volume_tables over all elements and _face_tables at that
+order keep one set per (mesh, where) until the outermost scope of the
+order closes: the points and weights once, and the power tables up to
+the highest degree read so far, of which a lower degree reads the
+first columns (bitwise the tables it would build).  A scope of the
+same order joins the open one; scopes of other orders are independent.
+harness._rung holds one scope at the data rule for a whole rung: the
+load vector (volume and boundary terms), the particular field (test
+degree p-2) and both error norms of every method read one set.  Inside
+it harness.solve opens one at the Gram rule for the mass Grams and the
+local constraints (trial degree p, test degree p-2), closed before the
+first LU factorization, which sets the peak memory.  The SIPDG
+assembly builds its own inside _own_tables, which hides every open
+scope (from p = 14 on its Gram rule is the data rule); the DG-norm
+Grams and the one-element diagnostics build their own outside a scope
+of their order.
 
 Element Gram matrices (mass, gradient, boundary traces and their normal
 derivatives) and bubble spaces are built for a batch of elements in one
@@ -183,11 +188,28 @@ def _monomial_tables(
 
     centers (..., 2) and scales (...) broadcast against points (..., Q, 2).
     """
-    k = np.arange(p + 1, dtype=float)
     inv_h = 1.0 / np.asarray(scales)[..., None, None]
     X = (points[..., 0] - np.asarray(centers)[..., None, 0])[..., None] * inv_h
     Y = (points[..., 1] - np.asarray(centers)[..., None, 1])[..., None] * inv_h
-    return BasisEval(X**k, Y**k, p, inv_h)
+    return BasisEval(_powers(X, p), _powers(Y, p), p, inv_h)
+
+
+def _powers(X: np.ndarray, p: int) -> np.ndarray:
+    """X**k for k = 0..p, (..., p+1) from X (..., 1), bitwise X ** arange(p+1).
+
+    The power runs only for k >= 2: columns 0 and 1 are 1.0 and X, the
+    power's own results, and a negative base costs the power some 40
+    times a positive one.  Below p = 3 the whole table is one power
+    call, because numpy computes a lone k = 2 column with another kernel
+    and other last bits.
+    """
+    if p < 3:
+        return X ** np.arange(p + 1, dtype=float)
+    out = np.empty(X.shape[:-1] + (p + 1,))
+    out[..., 0] = 1.0
+    out[..., 1] = X[..., 0]
+    np.power(X, np.arange(2, p + 1, dtype=float), out=out[..., 2:])
+    return out
 
 
 @dataclass(frozen=True)
@@ -373,22 +395,37 @@ def _face_quadrature(faces, order: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, rule.weights * faces["length"][..., None]
 
 
-# (id(mesh), where, order) -> (mesh, tables, points, weights) while a
-# _shared_tables scope is open; None outside one.  A context variable, so
-# each thread sees only the scopes it opened.
-_shared: ContextVar[dict | None] = ContextVar("_shared", default=None)
+# rule order -> {(id(mesh), where): (mesh, tables, points, weights)} for
+# each open _shared_tables scope; {} outside all.  Each scope sets a new
+# outer dict and never changes one it did not set.  A context variable,
+# so each thread sees only the scopes it opened.
+_shared: ContextVar[dict[int, dict]] = ContextVar("_shared", default={})
 
 
 @contextmanager
-def _shared_tables():
-    """Share the tables of the whole mesh until the scope closes.
+def _shared_tables(order: int):
+    """Share the tables of the whole mesh at rule order `order` until the
+    scope closes.
 
-    Re-entrant: an inner scope joins the outer one, and only the
-    outermost close drops the tables.
+    A nested scope of the same order joins the open one, and only the
+    outermost close drops the tables; a scope of another order is
+    independent.  Tables at an order without an open scope are built by
+    every call.
     """
-    if _shared.get() is not None:
+    scopes = _shared.get()
+    if order in scopes:
         yield
         return
+    token = _shared.set({**scopes, order: {}})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+@contextmanager
+def _own_tables():
+    """Build every table afresh inside the scope, as if no scope were open."""
     token = _shared.set({})
     try:
         yield
@@ -399,17 +436,17 @@ def _shared_tables():
 def _mesh_tables(mesh: Mesh, where: str, elements, p: int, order: int, rule):
     """Degree-p tables of elements at the points and weights rule() returns.
 
-    Inside a _shared_tables scope the set is kept under (mesh, where,
-    order): its points and weights are built once, and its power tables
+    Inside a _shared_tables(order) scope the set is kept under (mesh,
+    where): its points and weights are built once, and its power tables
     again only for a degree above the highest built so far; a lower
     degree reads their first columns (BasisEval.lower).
     """
-    shared = _shared.get()
+    shared = _shared.get().get(order)
     if shared is None:
         pts, w = rule()
         return _element_tables(mesh, elements, p, pts), pts, w
     # the entry holds the mesh, so no other mesh takes its id meanwhile
-    key = (id(mesh), where, order)
+    key = (id(mesh), where)
     if key not in shared:
         pts, w = rule()
         pts.setflags(write=False)  # every reader of the scope sees them

@@ -54,6 +54,16 @@ def test_form_parameters_validation():
             FormParameters(omega=1.0, p=2, alpha=alpha)
 
 
+@pytest.mark.parametrize("p", [2.5, 3.0, True, "3", None])
+def test_form_parameters_refuse_a_degree_that_is_not_an_integer(p):
+    # 2.5 used to fail inside numpy, 3.0 with a TypeError, and True to
+    # assemble p=1
+    with pytest.raises(ValueError, match=f"p={p!r}"):
+        FormParameters(omega=1.0, p=p)
+    params = FormParameters(omega=1.0, p=np.int64(3))
+    assert params.p == 3 and type(params.p) is int
+
+
 @pytest.mark.parametrize("bad", [float("nan"), -2.0])
 def test_callable_omega_rejected_at_one_quadrature_node(bad):
     # omega(x) is fine everywhere but at one node of element 5

@@ -1,7 +1,11 @@
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from helmtrefftz import cli, polyspace
+from helmtrefftz import cli, harness, polyspace
 from helmtrefftz.cli import main
 from helmtrefftz.dg_assembly import FormParameters
 from helmtrefftz.error_analysis import ErrorReport
@@ -11,7 +15,6 @@ from helmtrefftz.harness import (
     METHOD_TAGS,
     PLANEWAVE_RINGS_LADDER,
     RunConfig,
-    _report_rows,
     emit_csv,
     parse_csv,
     run_experiment,
@@ -19,6 +22,12 @@ from helmtrefftz.harness import (
     summarize,
 )
 from helmtrefftz.mesh import build_unit_square_mesh
+from helmtrefftz.polyspace import (
+    _data_order,
+    _gram_order,
+    edge_quadrature_rule,
+    quadrature_rule,
+)
 
 
 def small_hankel_config(**kwargs):
@@ -387,35 +396,104 @@ def test_cli_missing_file(capsys):
 
 @pytest.mark.parametrize("p", [3, 6])
 def test_one_rung_builds_each_table_once_per_scope(p, monkeypatch):
-    # solve shares one set of tables per rule before its first LU, and the
-    # error rows another; the SIPDG assembly, outside them, builds its own
-    mesh = build_unit_square_mesh(2)
-    case = sinsin_case(1.0)
-    params = FormParameters(omega=case.omega, p=p)
-    builds = []  # (the open scope's table set or None, the build's inputs)
-    build = polyspace._monomial_tables
+    # one sinsin rung, both methods: the load vector, the particular field
+    # and both norms of both fields read one set of data-rule volume and
+    # boundary tables; solve builds the Gram-rule volume set once, and the
+    # SIPDG assembly its own, outside every scope
+    builds = []  # (inside the assembly, orders of the open scopes, inputs)
+    assembling = []
+    build, assemble = polyspace._monomial_tables, harness.assemble_sipdg
 
     def spy(centers, scales, q, points):
-        inputs = b"".join(np.ascontiguousarray(a).tobytes() for a in (centers, points))
-        builds.append((polyspace._shared.get(), inputs))
+        inputs = (q, points.shape, centers.tobytes(), points.tobytes())
+        builds.append((bool(assembling), tuple(polyspace._shared.get()), inputs))
         return build(centers, scales, q, points)
 
+    def assembly(*args):
+        assembling.append(True)
+        try:
+            return assemble(*args)
+        finally:
+            assembling.clear()
+
     monkeypatch.setattr(polyspace, "_monomial_tables", spy)
-    solved = solve(mesh, params, case.f, case.g, ("embedded", "standard"))
-    assert polyspace._shared.get() is None
-    _report_rows(case, 0, solved)
-    assert polyspace._shared.get() is None
-    # the assembly's volume, plus, minus and boundary tables, outside any scope
-    assert [s is None for s, _ in builds[:5]] == [True] * 4 + [False]
-    scopes = {id(s): s for s, _ in builds if s is not None}
-    assert len(scopes) == 3
-    for scope in scopes.values():
-        inputs = [key for s, key in builds if s is scope]
-        assert len(inputs) == len(set(inputs))
-    # the error rows build the data-rule volume tables once for both fields
-    last = [key for s, key in builds if s is list(scopes.values())[-1]]
-    assert len(last) == 4  # volume, plus, minus and boundary faces
+    monkeypatch.setattr(harness, "assemble_sipdg", assembly)
+    reports = run_experiment(RunConfig(experiment="sinsin", degrees=(p,)))
+    assert [r.method for r in reports] == ["etvol", "dgvol"]
+    assert polyspace._shared.get() == {}  # nothing shared after the rung
+
+    mesh = build_unit_square_mesh(4)
+    n_boundary = len(mesh.boundary_faces["element"])
+    gram_volume = (mesh.n_elements, quadrature_rule(_gram_order(p)).weights.size, 2)
+    data_volume = (mesh.n_elements, quadrature_rule(_data_order(p)).weights.size, 2)
+    data_boundary = (n_boundary, edge_quadrature_rule(_data_order(p)).nodes.size, 2)
+
+    def of_shape(shape):
+        return [(inside, orders) for inside, orders, (_, s, *_) in builds if s == shape]
+
+    assert of_shape(data_volume) == [(False, (_data_order(p),))]
+    assert len(of_shape(data_boundary)) == 1
+    assert of_shape(gram_volume) == [
+        (True, ()),
+        (False, (_data_order(p), _gram_order(p))),
+    ]
+    assert all(orders == () for inside, orders, _ in builds if inside)
+    repeats = Counter(inputs for _, _, inputs in builds)
+    assert [inputs[1] for inputs, n in repeats.items() if n > 1] == [gram_volume]
+
+
+def test_assembly_builds_its_own_tables_at_every_degree(monkeypatch):
+    # from p = 14 on the Gram and the data rule are both of the largest
+    # order, so a rung's data-rule scope is also one of the Gram rule
+    assert _gram_order(14) == _data_order(14)
+    mesh = build_unit_square_mesh(1)
+    builds = []
+    build = polyspace._monomial_tables
+
+    def spy(*args):
+        builds.append(polyspace._shared.get())
+        return build(*args)
+
+    monkeypatch.setattr(polyspace, "_monomial_tables", spy)
+    for p in (3, 14):
+        with polyspace._shared_tables(_gram_order(p)):
+            harness.assemble_sipdg(mesh, FormParameters(omega=1.0, p=p))
+            assert polyspace._shared.get() == {_gram_order(p): {}}
+    assert builds == [{}] * 8  # volume, plus, minus and boundary faces, twice
+
+
+@pytest.mark.parametrize("methods", [("embedded", "standard"), ("standard", "embedded")])
+@pytest.mark.parametrize("p", [3, 6])
+def test_nothing_dead_alive_at_the_first_factorization(p, methods, monkeypatch):
+    # the first LU sets the peak memory: by then solve has built both
+    # preconditioners and dropped the local data and the mass Grams
+    refs = {}
+
+    def keep(name):
+        fn = getattr(harness, name)
+
+        def kept(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            refs[name] = weakref.ref(out)
+            return out
+
+        monkeypatch.setattr(harness, name, kept)
+
+    keep("all_local_trefftz")
+    keep("_element_mass_grams")
+    alive = []
+    splu = spla.splu
+
+    def spy(*args, **kwargs):
+        alive.append({name: ref() is not None for name, ref in refs.items()})
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    case = sinsin_case(1.0)
+    params = FormParameters(omega=case.omega, p=p)
+    solve(build_unit_square_mesh(2), params, case.f, case.g, methods)
+    assert alive[0] == {"all_local_trefftz": False, "_element_mass_grams": False}
 
 
 def test_run_experiment_leaves_nothing_shared(hankel_reports):
-    assert polyspace._shared.get() is None
+    assert polyspace._shared.get() == {}

@@ -144,6 +144,29 @@ def test_monomial_tables_face_frames_bitwise(p):
         )
 
 
+@pytest.mark.parametrize("p", range(15))
+def test_power_tables_bitwise_the_full_power(p):
+    # the power runs only for exponents 2..p from p = 3 on; every column
+    # must still be bitwise X ** arange(p + 1), at scaled coordinates that
+    # are negative, exactly zero and positive.  p = 2 is the case where a
+    # lone exponent-2 column, computed by another numpy kernel, moved the
+    # last bits (and a golden table); enough points to reach the SIMD loop
+    rng = np.random.default_rng(p)
+    centers = rng.uniform(-1.0, 1.0, (64, 2))
+    scales = rng.uniform(0.05, 2.0, 64)
+    pts = centers[:, None, :] + scales[:, None, None] * rng.uniform(
+        -0.6, 0.6, (64, 25, 2)
+    )
+    pts[:, ::4] = centers[:, None, :]  # X = Y = +0.0
+    ev = _monomial_tables(centers, scales, p, pts)
+    inv_h = 1.0 / scales[:, None, None]
+    for c, got in enumerate((ev._x_powers, ev._y_powers)):
+        scaled = (pts[..., c] - centers[:, None, c])[..., None] * inv_h
+        assert (scaled < 0).any() and (scaled == 0).any() and (scaled > 0).any()
+        assert got.flags.c_contiguous
+        assert same_bits(got, scaled ** np.arange(p + 1, dtype=float))
+
+
 @pytest.mark.parametrize("order", [1, 8, MAX_QUAD_ORDER])
 def test_face_quadrature_bitwise(order):
     # the points v0 + t (v1 - v0) and weights w |F| of the unit-segment rule,
@@ -205,7 +228,7 @@ def test_shared_tables_bitwise_at_every_degree(order, monkeypatch):
         for side in ("plus", "minus", "element")
     }
     builds = counted_builds(monkeypatch)
-    with polyspace._shared_tables():
+    with polyspace._shared_tables(order):
         for p in degrees:
             for expected, got in [
                 (alone[p], _volume_tables(DISK, p, order)),
@@ -216,33 +239,64 @@ def test_shared_tables_bitwise_at_every_degree(order, monkeypatch):
                 for name in ("values", "gx", "gy", "laplacians"):
                     assert same_bits(getattr(expected[0], name), getattr(got[0], name))
     assert len(builds) == 4 * len({2, 5, 8})
-    assert polyspace._shared.get() is None
+    assert polyspace._shared.get() == {}
 
 
 def test_shared_tables_scope_nests_and_closes_on_error(monkeypatch):
     builds = counted_builds(monkeypatch)
     with pytest.raises(RuntimeError, match="inside"):
-        with polyspace._shared_tables():
+        with polyspace._shared_tables(8):
             _volume_tables(DISK, 3, 8)
-            with polyspace._shared_tables():  # joins the outer scope
+            with polyspace._shared_tables(8):  # joins the outer scope
                 _volume_tables(DISK, 3, 8)
             _volume_tables(DISK, 2, 8)
             assert builds == [DISK.n_elements]
             raise RuntimeError("inside")
-    assert polyspace._shared.get() is None
+    assert polyspace._shared.get() == {}
     _volume_tables(DISK, 3, 8)
     _volume_tables(DISK, 3, 8)
     assert len(builds) == 3  # outside a scope every call builds
 
 
+def test_shared_tables_scope_shares_its_order_alone(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    with polyspace._shared_tables(8):
+        with polyspace._shared_tables(10):  # independent of the order-8 scope
+            _volume_tables(DISK, 3, 10)
+            _volume_tables(DISK, 3, 10)
+            _volume_tables(DISK, 3, 8)
+            with polyspace._shared_tables(8):  # joins the outermost scope
+                _volume_tables(DISK, 3, 8)
+            assert len(builds) == 2
+        assert list(polyspace._shared.get()) == [8]
+        _volume_tables(DISK, 3, 10)  # its scope closed: built again
+        _volume_tables(DISK, 3, 12)  # no scope of this order: built
+        _volume_tables(DISK, 3, 8)
+        assert len(builds) == 4
+    assert polyspace._shared.get() == {}
+
+
+def test_own_tables_build_inside_an_open_scope(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    with polyspace._shared_tables(8):
+        _volume_tables(DISK, 3, 8)
+        with polyspace._own_tables():
+            _volume_tables(DISK, 3, 8)
+            _volume_tables(DISK, 3, 8)
+            assert polyspace._shared.get() == {}
+        _volume_tables(DISK, 3, 8)  # the scope is back, its set intact
+        assert len(builds) == 3
+    assert polyspace._shared.get() == {}
+
+
 def test_shared_tables_scope_is_per_thread():
     seen = []
-    with polyspace._shared_tables():
+    with polyspace._shared_tables(8):
         other = threading.Thread(target=lambda: seen.append(polyspace._shared.get()))
         other.start()
         other.join(timeout=10)
     assert not other.is_alive()
-    assert seen == [None]
+    assert seen == [{}]
 
 
 def test_one_element_grams_get_their_own_tables(monkeypatch):
@@ -252,11 +306,11 @@ def test_one_element_grams_get_their_own_tables(monkeypatch):
     builds = counted_builds(monkeypatch)
     assert np.array_equal(_element_mass_grams(DISK, 4, one), expected)
     assert builds == [1]
-    with polyspace._shared_tables():
+    with polyspace._shared_tables(_gram_order(4)):
         everything = _element_mass_grams(DISK, 4)
         assert np.array_equal(_element_mass_grams(DISK, 4, one), expected)
         assert np.array_equal(everything[one], expected)
-        assert len(polyspace._shared.get()) == 1
+        assert len(polyspace._shared.get()[_gram_order(4)]) == 1
     assert builds == [1, DISK.n_elements, 1]
 
 

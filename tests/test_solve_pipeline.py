@@ -485,6 +485,17 @@ def test_solve_rejects_degree_below_one_and_unknown_methods():
         solve(mesh, FormParameters(omega=2.0, p=2), zero_f, zero_g, ("trefftz",))
 
 
+def test_solve_refuses_repeated_methods_as_run_config_does():
+    # four methods used to factor three systems and return two fields
+    methods = ("embedded", "embedded", "standard", "standard")
+    with pytest.raises(ValueError, match="methods repeat") as from_solve:
+        mesh = build_unit_square_mesh(1)
+        solve(mesh, FormParameters(omega=2.0, p=2), zero_f, zero_g, methods)
+    with pytest.raises(ValueError) as from_config:
+        RunConfig(experiment="hankel", methods=methods)
+    assert str(from_solve.value) == str(from_config.value)
+
+
 def _scalar_blocks(size):
     """Bases, sizes and order that make every dof an element of its own,
     with T = I."""
