@@ -63,7 +63,6 @@ from .polyspace import (
     _data_order,
     _face_tables,
     _gram_order,
-    _own_tables,
     _volume_tables,
     _weighted_gram,
     dim_poly,
@@ -315,18 +314,16 @@ def assemble_sipdg(mesh: Mesh, params: FormParameters) -> sp.bsr_matrix:
 
     A is a BSR matrix with blocksize (n, n), n = dim P^p: one block per
     element and per (plus, minus) pair of every interior face.  Its
-    tables are its own, even inside a scope that shares tables of its
-    rule: joining a shared set raised the peak memory of a solve in
-    trials.
+    tables are at the Gram rule and come from the open scope of that
+    rule, if there is one (polyspace, "Shared tables").
     """
     elems = np.arange(mesh.n_elements)
     el_b = mesh.boundary_faces["element"]
-    with _own_tables():
-        segments = [
-            (_volume_blocks(mesh, params), elems, elems),
-            *_interior_face_blocks(mesh, params),
-            (_impedance_blocks(mesh, params), el_b, el_b),
-        ]
+    segments = [
+        (_volume_blocks(mesh, params), elems, elems),
+        *_interior_face_blocks(mesh, params),
+        (_impedance_blocks(mesh, params), el_b, el_b),
+    ]
     return _sum_block_rows(segments, mesh.n_elements, dim_poly(params.p))
 
 

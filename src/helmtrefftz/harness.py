@@ -167,8 +167,11 @@ class RunConfig:
             raise ValueError(
                 f"penalty alpha must be finite and positive, got alpha={self.alpha}"
             )
-        if self.dof_cap < 1:
-            raise ValueError(f"dof_cap must be >= 1, got dof_cap={self.dof_cap}")
+        if not (_is_integer(self.dof_cap) and self.dof_cap >= 1):
+            raise ValueError(
+                f"dof_cap must be an integer >= 1, got dof_cap={self.dof_cap!r}"
+            )
+        object.__setattr__(self, "dof_cap", int(self.dof_cap))
         for name in ("degrees", "omegas"):
             _refuse_repeats(name, getattr(self, name))
 
@@ -192,14 +195,17 @@ def solve(
     and both fields share its coefficients.  methods must be known and
     distinct.
 
-    Tables: the mass Grams and the local constraints read one set at the
+    Tables: the SIPDG assembly runs before solve opens a scope, so it
+    shares its Gram-rule tables only with a caller's scope of that rule.
+    The mass Grams and the local constraints then read one set at the
     Gram rule, dropped before the first factorization; the load vector
-    and the particular field read one at the data rule, which outlives
-    the solve when the caller holds a scope of that rule open (_rung
-    does, for the error rows).  The SIPDG assembly builds its own.  Both
-    preconditioners are built before the first factorization, which
-    sets the peak memory; from there on only the embedding is kept of
-    the local data, and the mass Grams are dropped.
+    and the particular field read one at the data rule.  A set outlives
+    the solve when the caller holds a scope of its rule open: _rung
+    holds one at the data rule for the error rows, which from p = 14 on
+    is also the Gram rule.  Both preconditioners are built before the
+    first factorization, which sets the peak memory; from there on only
+    the embedding is kept of the local data, and the mass Grams are
+    dropped.
 
     f None means no source: the load vector is then the boundary term
     alone and the particular field zero, neither built from volume
@@ -262,47 +268,39 @@ def solve(
     return out
 
 
-def _report_rows(case: ManufacturedCase, hnr: int, solved) -> list[ErrorReport]:
-    """One row per solved field {method: field}, in the order of solved.
-
-    The norms read the data-rule tables of an open scope of that rule,
-    which _rung holds; outside one each norm builds its own.
-    """
-    return [
-        ErrorReport(
-            method=METHOD_TAGS[method],
-            p=fld.degree,
-            h=fld.mesh.max_diameter,
-            hnr=hnr,
-            dofs=fld.dofs,
-            l2error=l2_error(fld, case),
-            dgerror=dg_error(fld, case),
-            omega=case.omega_report,
-            dofspwl=dofs_per_wavelength(
-                fld.dofs, case.omega_representative, fld.mesh.domain_area
-            ),
-        )
-        for method, fld in solved.items()
-    ]
-
-
 def _rung(
-    config: RunConfig,
     case: ManufacturedCase,
     params: FormParameters,
     mesh: Mesh,
     hnr: int,
     context: str,
+    methods: Sequence[str],
 ) -> list[ErrorReport]:
-    """Solve one rung and report its rows.
+    """Solve one rung and report one row per method, in the order of methods.
 
     One scope at the data rule spans both: the load vector, the
     particular field and both norms of every method read one set of
-    volume and boundary tables, dropped when the rung ends.
+    volume and boundary tables, dropped when the rung ends.  The rows
+    are bitwise those of solve and the norms with no scope open.
     """
     with _shared_tables(_data_order(params.p)):
-        solved = solve(mesh, params, case.f, case.g, config.methods, context)
-        return _report_rows(case, hnr, solved)
+        solved = solve(mesh, params, case.f, case.g, methods, context)
+        return [
+            ErrorReport(
+                method=METHOD_TAGS[method],
+                p=fld.degree,
+                h=mesh.max_diameter,
+                hnr=hnr,
+                dofs=fld.dofs,
+                l2error=l2_error(fld, case),
+                dgerror=dg_error(fld, case),
+                omega=case.omega_report,
+                dofspwl=dofs_per_wavelength(
+                    fld.dofs, case.omega_representative, mesh.domain_area
+                ),
+            )
+            for method, fld in solved.items()
+        ]
 
 
 def _square_meshes(levels: int) -> list[Mesh]:
@@ -330,7 +328,7 @@ def _run_square_experiment(config: RunConfig, case: ManufacturedCase):
         params = FormParameters(omega=case.omega, p=p, alpha=config.alpha)
         for hnr, mesh in enumerate(meshes):
             context = f"{config.experiment}, p={p}, hnr={hnr}"
-            reports.extend(_rung(config, case, params, mesh, hnr, context))
+            reports.extend(_rung(case, params, mesh, hnr, context, config.methods))
     return reports
 
 
@@ -354,7 +352,7 @@ def _run_planewave(config: RunConfig):
                     mesh_cache[rings] = build_unit_disk_mesh(rings)
                 mesh = mesh_cache[rings]
                 context = f"planewave, omega={omega:g}, p={p}, rings={rings}"
-                reports.extend(_rung(config, case, params, mesh, hnr, context))
+                reports.extend(_rung(case, params, mesh, hnr, context, config.methods))
     return reports
 
 

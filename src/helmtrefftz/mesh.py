@@ -74,30 +74,24 @@ class Mesh:
         return 0.5 * cross2(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0])
 
     @cached_property
-    def diameters(self) -> np.ndarray:
+    def _side_lengths(self) -> np.ndarray:
+        """Length of the side opposite each vertex, shape (Nt, 3)."""
         t = self.tri_coords
-        e = np.stack(
-            [t[:, 1] - t[:, 0], t[:, 2] - t[:, 1], t[:, 0] - t[:, 2]], axis=1
-        )
-        return np.linalg.norm(e, axis=2).max(axis=1)
+        return np.linalg.norm(t[:, [2, 0, 1]] - t[:, [1, 2, 0]], axis=2)
+
+    @cached_property
+    def diameters(self) -> np.ndarray:
+        return self._side_lengths.max(axis=1)
 
     @cached_property
     def incenters(self) -> np.ndarray:
-        t = self.tri_coords
-        # side length opposite each vertex
-        a = np.linalg.norm(t[:, 2] - t[:, 1], axis=1)
-        b = np.linalg.norm(t[:, 0] - t[:, 2], axis=1)
-        c = np.linalg.norm(t[:, 1] - t[:, 0], axis=1)
-        per = a + b + c
-        w = np.stack([a, b, c], axis=1) / per[:, None]
-        return np.einsum("ev,evd->ed", w, t)
+        a, b, c = self._side_lengths.T
+        w = self._side_lengths / (a + b + c)[:, None]
+        return np.einsum("ev,evd->ed", w, self.tri_coords)
 
     @cached_property
     def inradii(self) -> np.ndarray:
-        t = self.tri_coords
-        a = np.linalg.norm(t[:, 2] - t[:, 1], axis=1)
-        b = np.linalg.norm(t[:, 0] - t[:, 2], axis=1)
-        c = np.linalg.norm(t[:, 1] - t[:, 0], axis=1)
+        a, b, c = self._side_lengths.T
         return self.areas / (0.5 * (a + b + c))
 
     @cached_property

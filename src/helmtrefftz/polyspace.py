@@ -34,16 +34,19 @@ order closes: the points and weights once, and the power tables up to
 the highest degree read so far, of which a lower degree reads the
 first columns (bitwise the tables it would build).  A scope of the
 same order joins the open one; scopes of other orders are independent.
-harness._rung holds one scope at the data rule for a whole rung: the
-load vector (volume and boundary terms), the particular field (test
-degree p-2) and both error norms of every method read one set.  Inside
-it harness.solve opens one at the Gram rule for the mass Grams and the
-local constraints (trial degree p, test degree p-2), closed before the
-first LU factorization, which sets the peak memory.  The SIPDG
-assembly builds its own inside _own_tables, which hides every open
-scope (from p = 14 on its Gram rule is the data rule); the DG-norm
-Grams and the one-element diagnostics build their own outside a scope
-of their order.
+Every reader of the whole mesh's tables reads an open scope of its
+order; there is no opt-out.  harness._rung holds one scope at the data
+rule for a whole rung: the load vector (volume and boundary terms), the
+particular field (test degree p-2) and both error norms of every
+method read one set.  Inside it harness.solve assembles the SIPDG
+matrix at the Gram rule, which below p = 14 has no open scope, and
+then opens one at the Gram rule for the mass Grams and the local
+constraints (trial degree p, test degree p-2), closed before the first
+LU factorization, which sets the peak memory.  From p = 14 on the Gram
+rule is the data rule, so the assembly, the Grams and the constraints
+fill and read the rung's data-rule set.  The DG-norm Grams and the
+one-element diagnostics build their own outside a scope of their
+order.
 
 Element Gram matrices (mass, gradient, boundary traces and their normal
 derivatives) and bubble spaces are built for a batch of elements in one
@@ -417,16 +420,6 @@ def _shared_tables(order: int):
         yield
         return
     token = _shared.set({**scopes, order: {}})
-    try:
-        yield
-    finally:
-        _shared.reset(token)
-
-
-@contextmanager
-def _own_tables():
-    """Build every table afresh inside the scope, as if no scope were open."""
-    token = _shared.set({})
     try:
         yield
     finally:

@@ -7,10 +7,10 @@ Run with `pytest -s tests/test_acceptance.py` to see the summary lines.
 The large-wavenumber threshold trend walks the planewave ladder at
 omega=100 up to 128 rings: its p=2 crossings need direct solves of up to
 491,520 dofs.  With the mesh's nested-dissection ordering a whole Tier-1
-run, that walk included, takes about 8.5 minutes and peaks near 3.0 GB of
-RSS on a 2-core machine.  On a smaller host, lower
-HELMTREFFTZ_PLANEWAVE_DOF_CAP (default 600000); the criterion then fails,
-naming the degrees whose crossing the cap cut off.
+run, that walk included, takes about 5.5 minutes (the walk about 4) and
+peaks near 3.0 GB of RSS on a 2-core machine at one BLAS thread.  On a
+smaller host, lower HELMTREFFTZ_PLANEWAVE_DOF_CAP (default 600000); the
+criterion then fails, naming the degrees whose crossing the cap cut off.
 
 The criteria that read an experiment sweep are marked ``slow``;
 ``pytest -m "not slow"`` runs everything else.
@@ -37,7 +37,7 @@ from helmtrefftz.harness import (
     METHOD_TAGS,
     PLANEWAVE_RINGS_LADDER,
     RunConfig,
-    _report_rows,
+    _rung,
     run_experiment,
     solve,
 )
@@ -105,7 +105,7 @@ def varomega_reports():
 
 @pytest.fixture(scope="module")
 def planewave_walks():
-    """Harness rows of the omega=100 planewave ladder, per (method, p).
+    """harness._rung rows of the omega=100 planewave ladder, per (method, p).
 
     Each walk ends at its first rung with L2 error below the bar, the only
     rung the threshold criterion reads, or at the last rung the dof cap
@@ -130,9 +130,8 @@ def planewave_walks():
                 mesh = build_unit_disk_mesh(rings)
             params = FormParameters(omega=omega, p=p)
             context = f"planewave walk, p={p}, rings={rings}"
-            solved = solve(mesh, params, case.f, case.g, methods, context)
             hnr = len(walks[methods[0], p])
-            rows = _report_rows(case, hnr, solved)
+            rows = _rung(case, params, mesh, hnr, context, methods)
             for method, row in zip(methods, rows):
                 walks[method, p].append(row)
     return walks

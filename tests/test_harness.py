@@ -8,8 +8,13 @@ import scipy.sparse.linalg as spla
 from helmtrefftz import cli, harness, polyspace
 from helmtrefftz.cli import main
 from helmtrefftz.dg_assembly import FormParameters
-from helmtrefftz.error_analysis import ErrorReport
-from helmtrefftz.exact_solutions import sinsin_case
+from helmtrefftz.error_analysis import (
+    ErrorReport,
+    dg_error,
+    dofs_per_wavelength,
+    l2_error,
+)
+from helmtrefftz.exact_solutions import plane_wave_case, sinsin_case
 from helmtrefftz.harness import (
     CSV_HEADER,
     METHOD_TAGS,
@@ -21,7 +26,7 @@ from helmtrefftz.harness import (
     solve,
     summarize,
 )
-from helmtrefftz.mesh import build_unit_square_mesh
+from helmtrefftz.mesh import build_unit_disk_mesh, build_unit_square_mesh
 from helmtrefftz.polyspace import (
     _data_order,
     _gram_order,
@@ -158,11 +163,19 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("dof_cap", 0), ("dof_cap", -1), ("degrees", (3, 3)), ("omegas", (100, 100))],
+    [
+        ("dof_cap", 0),
+        ("dof_cap", -1),
+        ("dof_cap", 2.5),
+        ("dof_cap", True),
+        ("degrees", (3, 3)),
+        ("omegas", (100, 100)),
+    ],
 )
 def test_config_rejects_bad_bump_and_cap(field, value):
     # rejected before any rung is solved, naming the field; a repeated
-    # degree or wavenumber used to write its rows twice
+    # degree or wavenumber used to write its rows twice, and dof_cap=True
+    # used to be read as a cap of one dof
     with pytest.raises(ValueError, match=field):
         RunConfig(**{"experiment": "planewave", "degrees": (2,), field: value})
 
@@ -223,6 +236,8 @@ def test_config_rejects_repeated_methods():
 def test_config_accepts_smallest_bump_and_cap():
     config = RunConfig(experiment="sinsin", dof_cap=1)
     assert config.dof_cap == 1
+    config = RunConfig(experiment="sinsin", dof_cap=np.int64(7))
+    assert config.dof_cap == 7 and type(config.dof_cap) is int
 
 
 def test_dof_budget_refusal():
@@ -399,7 +414,7 @@ def test_one_rung_builds_each_table_once_per_scope(p, monkeypatch):
     # one sinsin rung, both methods: the load vector, the particular field
     # and both norms of both fields read one set of data-rule volume and
     # boundary tables; solve builds the Gram-rule volume set once, and the
-    # SIPDG assembly its own, outside every scope
+    # SIPDG assembly its own, with only the data-rule scope open
     builds = []  # (inside the assembly, orders of the open scopes, inputs)
     assembling = []
     build, assemble = polyspace._monomial_tables, harness.assemble_sipdg
@@ -434,32 +449,98 @@ def test_one_rung_builds_each_table_once_per_scope(p, monkeypatch):
     assert of_shape(data_volume) == [(False, (_data_order(p),))]
     assert len(of_shape(data_boundary)) == 1
     assert of_shape(gram_volume) == [
-        (True, ()),
+        (True, (_data_order(p),)),
         (False, (_data_order(p), _gram_order(p))),
     ]
-    assert all(orders == () for inside, orders, _ in builds if inside)
+    # volume, plus, minus and boundary faces, each built by the assembly
+    assembly_builds = [orders for inside, orders, _ in builds if inside]
+    assert assembly_builds == [(_data_order(p),)] * 4
     repeats = Counter(inputs for _, _, inputs in builds)
     assert [inputs[1] for inputs, n in repeats.items() if n > 1] == [gram_volume]
 
 
-def test_assembly_builds_its_own_tables_at_every_degree(monkeypatch):
-    # from p = 14 on the Gram and the data rule are both of the largest
-    # order, so a rung's data-rule scope is also one of the Gram rule
+def test_assembly_shares_tables_only_at_its_own_rule(monkeypatch):
+    # below p = 14 the Gram rule is of lower order than the data rule: the
+    # assembly neither reads nor fills an open data-rule set.  From p = 14
+    # on both rules are of the largest order, so a rung's data-rule set
+    # is also the assembly's, and its matrix is bitwise the one built
+    # outside any scope
+    assert _gram_order(13) < _data_order(13)
     assert _gram_order(14) == _data_order(14)
     mesh = build_unit_square_mesh(1)
     builds = []
     build = polyspace._monomial_tables
 
     def spy(*args):
-        builds.append(polyspace._shared.get())
+        builds.append(args[2])
         return build(*args)
 
+    def held():
+        shared = polyspace._shared.get()[_data_order(p)]
+        return {key: [id(item) for item in entry] for key, entry in shared.items()}
+
     monkeypatch.setattr(polyspace, "_monomial_tables", spy)
-    for p in (3, 14):
-        with polyspace._shared_tables(_gram_order(p)):
-            harness.assemble_sipdg(mesh, FormParameters(omega=1.0, p=p))
-            assert polyspace._shared.get() == {_gram_order(p): {}}
-    assert builds == [{}] * 8  # volume, plus, minus and boundary faces, twice
+    for p in (3, 13):
+        params = FormParameters(omega=1.0, p=p)
+        with polyspace._shared_tables(_data_order(p)):
+            polyspace._volume_tables(mesh, p, _data_order(p))
+            before = held()
+            builds.clear()
+            harness.assemble_sipdg(mesh, params)
+            assert held() == before and list(before) == [(id(mesh), "volume")]
+        # volume, plus, minus and boundary faces, all built afresh
+        assert builds == [p] * 4
+
+    params = FormParameters(omega=1.0, p=14)
+    alone = harness.assemble_sipdg(mesh, params)
+    with polyspace._shared_tables(_data_order(14)):
+        shared = harness.assemble_sipdg(mesh, params)
+        filled = polyspace._shared.get()[_data_order(14)]
+        assert sorted(where for _, where in filled) == [
+            "element", "minus", "plus", "volume",
+        ]
+    for name in ("data", "indices", "indptr"):
+        assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes()
+    assert shared.shape == alone.shape
+
+
+@pytest.mark.parametrize(
+    "case,mesh",
+    [
+        (sinsin_case(1.0), build_unit_square_mesh(4)),
+        (plane_wave_case(100.0), build_unit_disk_mesh(4)),
+    ],
+    ids=["sinsin", "planewave-w100"],
+)
+def test_rung_rows_bitwise_those_of_solve_and_the_norms(case, mesh):
+    # the rung's shared tables change no bit: at p=3 its rows equal solve
+    # and the two norms run with no scope open (sinsin shares the load,
+    # the particular field and both norms; the plane wave has no source)
+    p = 3
+    params = FormParameters(omega=case.omega, p=p)
+    methods = ("embedded", "standard")
+    rows = harness._rung(case, params, mesh, 0, "rung", methods)
+    assert polyspace._shared.get() == {}
+    solved = solve(mesh, params, case.f, case.g, methods, "rung")
+    expected = [
+        ErrorReport(
+            METHOD_TAGS[method],
+            p,
+            mesh.max_diameter,
+            0,
+            fld.dofs,
+            l2_error(fld, case),
+            dg_error(fld, case),
+            case.omega_report,
+            dofs_per_wavelength(fld.dofs, case.omega_representative, mesh.domain_area),
+        )
+        for method, fld in solved.items()
+    ]
+    assert [r.method for r in rows] == ["etvol", "dgvol"]
+    for got, want in zip(rows, expected, strict=True):
+        assert [repr(v) for v in vars(got).values()] == [
+            repr(v) for v in vars(want).values()
+        ]
 
 
 @pytest.mark.parametrize("methods", [("embedded", "standard"), ("standard", "embedded")])

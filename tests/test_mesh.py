@@ -74,6 +74,25 @@ def test_equilateral_incenter_is_centroid():
     assert np.allclose(m.incenters[0], verts.mean(axis=0), atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "mesh",
+    [build_unit_disk_mesh(24), build_unit_square_mesh(16)],
+    ids=["disk", "square"],
+)
+def test_side_lengths_give_diameters_incenters_and_inradii(mesh):
+    # one (E, 3) array, column k opposite vertex k, feeds all three; each
+    # is bitwise its closed form on separately computed side lengths
+    t = mesh.tri_coords
+    a, b, c = (
+        np.linalg.norm(t[:, j] - t[:, i], axis=1) for i, j in ((1, 2), (2, 0), (0, 1))
+    )
+    assert mesh._side_lengths.tobytes() == np.stack([a, b, c], axis=1).tobytes()
+    assert mesh.diameters.tobytes() == np.maximum(np.maximum(a, b), c).tobytes()
+    w = np.stack([a, b, c], axis=1) / (a + b + c)[:, None]
+    assert mesh.incenters.tobytes() == np.einsum("ev,evd->ed", w, t).tobytes()
+    assert mesh.inradii.tobytes() == (mesh.areas / (0.5 * (a + b + c))).tobytes()
+
+
 def test_incenter_ball_inside_element():
     m = build_unit_disk_mesh(3)
     tri = m.tri_coords

@@ -276,19 +276,6 @@ def test_shared_tables_scope_shares_its_order_alone(monkeypatch):
     assert polyspace._shared.get() == {}
 
 
-def test_own_tables_build_inside_an_open_scope(monkeypatch):
-    builds = counted_builds(monkeypatch)
-    with polyspace._shared_tables(8):
-        _volume_tables(DISK, 3, 8)
-        with polyspace._own_tables():
-            _volume_tables(DISK, 3, 8)
-            _volume_tables(DISK, 3, 8)
-            assert polyspace._shared.get() == {}
-        _volume_tables(DISK, 3, 8)  # the scope is back, its set intact
-        assert len(builds) == 3
-    assert polyspace._shared.get() == {}
-
-
 def test_shared_tables_scope_is_per_thread():
     seen = []
     with polyspace._shared_tables(8):
