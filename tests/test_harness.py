@@ -166,10 +166,10 @@ def test_config_validation():
     [
         ("dof_cap", 0),
         ("dof_cap", -1),
-        ("dof_cap", 2.5),
-        ("dof_cap", True),
         ("degrees", (3, 3)),
         ("omegas", (100, 100)),
+        ("dof_cap", 2.5),
+        ("dof_cap", True),
     ],
 )
 def test_config_rejects_bad_bump_and_cap(field, value):
