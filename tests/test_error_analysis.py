@@ -20,6 +20,7 @@ from helmtrefftz.mesh import (
     mesh_from_triangulation,
 )
 from helmtrefftz.harness import solve
+from helmtrefftz.polyspace import _data_order, _face_tables, _volume_tables, dim_poly
 from helmtrefftz.solve_pipeline import SolutionField
 from helpers import (
     element_tables,
@@ -304,3 +305,31 @@ def test_dg_error_dominates_scaled_l2():
     params = FormParameters(omega=1.0, p=2)
     field = solve(mesh, params, case.f, case.g, methods=("standard",))["standard"]
     assert dg_error(field, case) >= case.omega_representative * l2_error(field, case)
+
+
+@pytest.mark.parametrize("p", range(15))
+def test_real_contraction_is_bitwise_the_complex_einsum(p):
+    # the norms contract every real table with the real and imaginary
+    # coefficients apart; each part keeps every bit of the complex einsum,
+    # on volume values and gradients and on gathered face coefficients
+    mesh = build_unit_disk_mesh(2)
+    rng = np.random.default_rng(p)
+    shape = (mesh.n_elements, dim_poly(p))
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ev, _, _ = _volume_tables(mesh, p, _data_order(p))
+    faces, _, _ = _face_tables(mesh, "minus", p, _data_order(p))
+    gathered = coeffs[mesh.interior_faces["minus"]]
+    contract = error_analysis._contract
+    pairs = [
+        (contract(ev.values, coeffs), np.einsum("eqi,ei->eq", ev.values, coeffs)),
+        (
+            np.stack([contract(ev.gx, coeffs), contract(ev.gy, coeffs)], axis=-1),
+            np.einsum("eqid,ei->eqd", ev.gradients, coeffs),
+        ),
+        (
+            contract(faces.values, gathered),
+            np.einsum("fmi,fi->fm", faces.values, gathered),
+        ),
+    ]
+    for ours, reference in pairs:
+        assert np.array_equal(ours.view(np.int64), reference.view(np.int64))
