@@ -128,33 +128,62 @@ def _nested_dissection(centroids: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     A subset is split at the median of its centroids along its longer
     extent (stable sort, so ties keep index order).  The separator is the
     set of elements of the first half that share a face with the second;
-    the order is first half, second half, separator, recursively.  pairs
-    holds the element pairs of the interior faces.
-    """
-    side = np.zeros(len(centroids), dtype=np.int8)
-    blocks: list[np.ndarray] = []
+    the order is first half, second half, separator (in element order),
+    recursively.  pairs holds the element pairs of the interior faces.
 
-    def visit(elements: np.ndarray, pairs: np.ndarray):
-        if len(elements) <= _DISSECTION_LEAF:
-            blocks.append(elements)
-            return
+    The recursion runs a level at a time: every subset of one level is
+    split by the same array operations.  A subset carries the first
+    position of its range in the order, so its separator is placed at
+    the end of that range and its halves in front, as the depth-first
+    recursion would place them.
+    """
+    n = len(centroids)
+    order = np.empty(n, dtype=np.intp)
+    side = np.empty(n, dtype=np.int8)  # 2: placed in the order
+    # equal coordinates get equal ranks, so a stable integer sort by
+    # (subset, rank) is the stable sort of each subset by that coordinate
+    ranks = np.stack([np.unique(x, return_inverse=True)[1] for x in centroids.T], 1)
+    # the subsets of one level: their elements one after another, in the
+    # order the recursion hands them down, and each subset's size and range
+    elements = np.arange(n)
+    sizes = np.array([n])
+    starts = np.zeros(1, dtype=np.intp)
+    while elements.size:
+        subset = np.repeat(np.arange(len(sizes)), sizes)
+        rank = np.arange(elements.size) - (np.cumsum(sizes) - sizes)[subset]
+        leaf = (sizes <= _DISSECTION_LEAF)[subset]
+        order[starts[subset[leaf]] + rank[leaf]] = elements[leaf]
+        side[elements[leaf]] = 2
+        split = sizes > _DISSECTION_LEAF
+        elements, subset = elements[~leaf], (np.cumsum(split) - 1)[subset[~leaf]]
+        sizes, starts = sizes[split], starts[split]
+        if not elements.size:
+            break
+        offsets = np.cumsum(sizes) - sizes
         pts = centroids[elements]
-        axis = int(np.argmax(np.ptp(pts, axis=0)))
-        by_axis = elements[np.argsort(pts[:, axis], kind="stable")]
-        half = len(elements) // 2
-        first, second = by_axis[:half], by_axis[half:]
-        side[first], side[second] = 0, 1
+        extent = np.maximum.reduceat(pts, offsets) - np.minimum.reduceat(pts, offsets)
+        along = ranks[elements, np.argmax(extent, axis=1)[subset]]
+        elements = elements[np.argsort(subset * n + along, kind="stable")]
+        half = sizes // 2
+        second = np.arange(elements.size) - offsets[subset] >= half[subset]
+        side[elements] = second
         s = side[pairs]
         cut = s[:, 0] != s[:, 1]
-        separator = np.unique(np.where(s[cut, 0] == 0, pairs[cut, 0], pairs[cut, 1]))
-        side[separator] = 2
+        side[np.where(s[cut, 0] == 0, pairs[cut, 0], pairs[cut, 1])] = 2
+        separator = side[elements] == 2
+        n_separator = np.bincount(subset[separator], minlength=len(sizes))
+        placed = np.sort(subset[separator] * n + elements[separator]) % n
+        # placed[j] of subset k goes to slot[k] + j, the end of k's range
+        slot = starts + sizes - np.cumsum(n_separator)
+        order[np.repeat(slot, n_separator) + np.arange(placed.size)] = placed
+        # the halves become subsets 2k and 2k + 1, in their sorted order
+        child = (2 * subset + second)[~separator]
+        elements = elements[~separator][np.argsort(child, kind="stable")]
+        sizes = np.stack([half - n_separator, sizes - half], axis=1).ravel()
+        starts = np.stack([starts, starts + half - n_separator], axis=1).ravel()
         s = side[pairs]
-        visit(first[side[first] == 0], pairs[(s[:, 0] == 0) & (s[:, 1] == 0)])
-        visit(second, pairs[(s[:, 0] == 1) & (s[:, 1] == 1)])
-        blocks.append(separator)
-
-    visit(np.arange(len(centroids)), pairs)
-    return np.concatenate(blocks)
+        pairs = pairs[(s[:, 0] == s[:, 1]) & (s[:, 0] != 2)]
+    return order
 
 
 def mesh_from_triangulation(

@@ -9,7 +9,12 @@ import sympy
 
 from helmtrefftz import local_trefftz
 from helmtrefftz.dg_assembly import _block_triplets, interior_face_h, omega_values
-from helmtrefftz.mesh import build_unit_disk_mesh, cross2, mesh_from_triangulation
+from helmtrefftz.mesh import (
+    _DISSECTION_LEAF,
+    build_unit_disk_mesh,
+    cross2,
+    mesh_from_triangulation,
+)
 from helmtrefftz.polyspace import (
     MAX_QUAD_ORDER,
     _element_boundary_grams,
@@ -278,6 +283,37 @@ def shuffled_jittered_disk(rings=3, seed=0):
     t = new_verts[tris]
     assert np.all(cross2(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]) > 0.0)
     return mesh_from_triangulation(new_verts, tris, domain_area=base.domain_area)
+
+
+def reference_nested_dissection(mesh):
+    """The depth-first recursion that mesh._nested_dissection replaced: the
+    reference for its level-by-level element order."""
+    centroids = mesh.centroids
+    fa = mesh.interior_faces
+    side = np.zeros(len(centroids), dtype=np.int8)
+    blocks = []
+
+    def visit(elements, pairs):
+        if len(elements) <= _DISSECTION_LEAF:
+            blocks.append(elements)
+            return
+        pts = centroids[elements]
+        axis = int(np.argmax(np.ptp(pts, axis=0)))
+        by_axis = elements[np.argsort(pts[:, axis], kind="stable")]
+        half = len(elements) // 2
+        first, second = by_axis[:half], by_axis[half:]
+        side[first], side[second] = 0, 1
+        s = side[pairs]
+        cut = s[:, 0] != s[:, 1]
+        separator = np.unique(np.where(s[cut, 0] == 0, pairs[cut, 0], pairs[cut, 1]))
+        side[separator] = 2
+        s = side[pairs]
+        visit(first[side[first] == 0], pairs[(s[:, 0] == 0) & (s[:, 1] == 0)])
+        visit(second, pairs[(s[:, 0] == 1) & (s[:, 1] == 1)])
+        blocks.append(separator)
+
+    visit(np.arange(len(centroids)), np.stack([fa["plus"], fa["minus"]], axis=1))
+    return np.concatenate(blocks)
 
 
 def element_tables(mesh, element, p, points):

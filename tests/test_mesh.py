@@ -9,7 +9,13 @@ from helmtrefftz.mesh import (
     build_unit_square_mesh,
     mesh_from_triangulation,
 )
-from helpers import reference_faces, refine, shuffled_jittered_disk
+from helmtrefftz.harness import PLANEWAVE_RINGS_LADDER
+from helpers import (
+    reference_faces,
+    reference_nested_dissection,
+    refine,
+    shuffled_jittered_disk,
+)
 
 REFERENCE_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -257,6 +263,22 @@ def test_dissection_order_is_deterministic_permutation(build):
     order = build().dissection_order
     assert np.array_equal(np.sort(order), np.arange(len(order)))
     assert np.array_equal(order, build().dissection_order)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda r=rings: build_unit_disk_mesh(r) for rings in PLANEWAVE_RINGS_LADDER]
+    + [lambda n=n: build_unit_square_mesh(n) for n in (1, 2, 3, 4, 8, 16, 32)]
+    + [lambda: shuffled_jittered_disk(12, seed=3)],
+    ids=[f"disk-{rings}" for rings in PLANEWAVE_RINGS_LADDER]
+    + [f"square-{n}" for n in (1, 2, 3, 4, 8, 16, 32)]
+    + ["shuffled-disk-12"],
+)
+def test_level_synchronous_dissection_matches_the_recursion(build):
+    # one set of array operations per level places every element where the
+    # depth-first recursion did
+    mesh = build()
+    assert np.array_equal(mesh.dissection_order, reference_nested_dissection(mesh))
 
 
 def test_shape_regularity_across_refinements():
