@@ -223,6 +223,7 @@ def solve(
     A = assemble_sipdg(mesh, params)
     embedded = "embedded" in methods and params.p >= 2
     local = u_f = whitener = precond = None
+    whitener_clipped = precond_clipped = False
     with _shared_tables(_gram_order(params.p)):
         mass_grams = _element_mass_grams(mesh, params.p)
         if embedded:
@@ -234,9 +235,9 @@ def solve(
             u_f = particular_field(mesh, local, f)
     # the first LU sets the peak memory: nothing dead may be alive there
     if "standard" in methods or params.p < 2:
-        whitener = mass_preconditioner(mass_grams)
+        whitener, whitener_clipped = mass_preconditioner(mass_grams)
     if embedded:
-        precond = embedding_preconditioner(embedding, mass_grams)
+        precond, precond_clipped = embedding_preconditioner(embedding, mass_grams)
     del local, mass_grams
     out = {}
     broken = None  # the broken-space solution, solved at most once
@@ -250,6 +251,7 @@ def solve(
                     bases=[whitener],
                     sizes=np.full(mesh.n_elements, dim_poly(params.p)),
                     order=mesh.dissection_order,
+                    clipped=whitener_clipped,
                 )
             coeffs = broken
             dofs = A.shape[0]
@@ -262,6 +264,7 @@ def solve(
                 context=f"{context}, {method}",
                 precond=precond,
                 mesh=mesh,
+                clipped=precond_clipped,
             )
             dofs = embedding.n_columns
         out[method] = SolutionField(coeffs, params.p, mesh, dofs)

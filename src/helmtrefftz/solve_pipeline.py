@@ -32,8 +32,17 @@ COLAMD fallback factors that same matrix.  A reciprocal condition
 estimate below 1e-13 raises SingularSystemError, which signals a mesh
 too coarse for the requested wavenumber.  Its sigma_min and sigma_max
 come from one Lanczos routine: 5 steps, with full reorthogonalization,
-on (A A^H)^-1 (10 solves per factor) and on A^H A.  The solution never
-reads them.
+on (A A^H)^-1 (10 solves per factor) and on A^H A.  The solution reads
+them only through that guard and the single-precision bound below.
+
+The precision is chosen before factoring.  A system whose whitening
+clipped an eigenvalue (see mass_preconditioner) has a basis at the
+limit of double precision and is factored in complex128.  Any other is
+factored in complex64, which halves the factor's memory, and refined
+with complex128 residuals against the complex128 matrix; an rcond read
+from that factor below 1e-6, or a refined backward error above
+REFINED_BACKWARD_ERROR, sends it to the complex128 factorization.  The
+accepted solutions of both precisions meet the same backward-error bar.
 """
 
 from __future__ import annotations
@@ -67,6 +76,19 @@ __all__ = [
 
 RCOND_THRESHOLD = 1e-13
 REFINED_BACKWARD_ERROR = 1e-12
+# smallest rcond read from a complex64 factor that is refined rather than
+# refactored in complex128: kappa * u_32 ~ 0.06 there
+SINGLE_PRECISION_RCOND = 1e-6
+# largest number of complex64 solves, the first included, that a system
+# factored in complex64 takes in refinement
+_REFINEMENT_STEPS = 8
+# SuperLU options of the dissection-order factorizations: the matrix's own
+# order, diagonal pivots
+_DISSECTION_OPTIONS = {
+    "permc_spec": "NATURAL",
+    "diag_pivot_thresh": 0.0,
+    "options": {"SymmetricMode": True},
+}
 # Lanczos steps (operator applications) of the sigma_max and sigma_min
 # estimates
 _LANCZOS_STEPS = 5
@@ -151,42 +173,49 @@ def particular_field(
     return coeffs.astype(complex).ravel()
 
 
-def mass_preconditioner(mass_grams: np.ndarray) -> np.ndarray:
+def mass_preconditioner(mass_grams: np.ndarray) -> tuple[np.ndarray, bool]:
     """Blocks of the basis change making each element basis L2-orthonormal.
 
     Takes the element mass Grams (E, n, n) and returns the stacked
-    whiteners R (E, n, n) with R^T G R ~ I, from an eigendecomposition.
-    Scaled monomials are increasingly ill-conditioned with p; solving in
-    the orthonormalized coordinates keeps the factorization accuracy and
-    the reciprocal-condition diagnostic tied to the operator rather than
-    to the basis.  Solutions are mapped back to monomial coefficients.
+    whiteners R (E, n, n) with R^T G R ~ I, from an eigendecomposition,
+    and whether any eigenvalue was clipped (see below).  Scaled monomials
+    are increasingly ill-conditioned with p; solving in the
+    orthonormalized coordinates keeps the factorization accuracy and the
+    reciprocal-condition diagnostic tied to the operator rather than to
+    the basis.  Solutions are mapped back to monomial coefficients.
 
     Eigenvalues are clipped from below at 1e-14 of the largest one: for
     strongly ill-conditioned Grams (monomial bases at large p) this
-    whitens exactly the directions double precision can resolve.
+    whitens exactly the directions double precision can resolve.  A
+    clipped basis is at the limit of double precision, so its system is
+    factored in complex128 only (see _direct_solve).
     """
     lam, q = np.linalg.eigh(0.5 * (mass_grams + mass_grams.swapaxes(-1, -2)))
     floor = 1e-14 * np.maximum(lam[..., -1:], np.finfo(float).tiny)
+    clipped = bool((lam < floor).any())
     lam = np.maximum(lam, floor)
-    return q * (1.0 / np.sqrt(lam))[..., None, :]
+    return q * (1.0 / np.sqrt(lam))[..., None, :], clipped
 
 
 def embedding_preconditioner(
     embedding: GlobalEmbedding, mass_grams: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, bool]:
     """Orthonormalizer of the Trefftz basis in the element L2 inner products.
 
-    Returns stacked blocks (E, d, d), d the largest kernel dimension;
+    Returns stacked blocks (E, d, d), d the largest kernel dimension, and
+    whether mass_preconditioner clipped an eigenvalue of any block;
     block k is zero beyond element k's kernel dimension.
     """
     dims = np.diff(embedding.column_offsets)
     blocks = np.zeros((len(dims), dims.max(), dims.max()))
+    clipped = False
     for dim, idx in _index_groups(dims):
         ek = embedding.blocks[idx, :, :dim]
-        blocks[idx, :dim, :dim] = mass_preconditioner(
+        blocks[idx, :dim, :dim], group_clipped = mass_preconditioner(
             ek.swapaxes(-1, -2) @ mass_grams[idx] @ ek
         )
-    return blocks
+        clipped |= group_clipped
+    return blocks, clipped
 
 
 def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
@@ -350,13 +379,19 @@ def _estimate_sigma_max(A: sp.spmatrix, ordering: np.ndarray) -> float:
     return float(np.sqrt(lam))
 
 
-def _estimate_sigma_min(lu, size: int) -> float:
+def _estimate_sigma_min(lu, size: int, dtype=complex) -> float:
     """Lanczos estimate of the smallest singular value of the factored
-    matrix, from above, on (A A^H)^-1 with two solves per step."""
+    matrix, from above, on (A A^H)^-1 with two solves per step.  dtype
+    is the factor's; the Lanczos vectors stay complex128."""
     rng = np.random.default_rng(1)
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v /= np.linalg.norm(v)
-    lam = _largest_ritz_value(lambda v: lu.solve(lu.solve(v, "N"), "H"), v)
+
+    def apply(v):
+        w = lu.solve(lu.solve(v.astype(dtype, copy=False), "N"), "H")
+        return w.astype(complex, copy=False)
+
+    lam = _largest_ritz_value(apply, v)
     if lam == 0.0:
         return np.inf
     return float(1.0 / np.sqrt(lam))
@@ -370,6 +405,13 @@ def _block_ordering(order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     starts = (np.cumsum(sizes) - sizes)[order]
     first = np.cumsum(sizes[order]) - sizes[order]
     return np.repeat(starts - first, sizes[order]) + np.arange(sizes.sum())
+
+
+def _backward_error(r, x, rhs, sigma_max: float) -> float:
+    """||r|| / (sigma_max ||x|| + ||b||) for the residual r = b - A x."""
+    return np.linalg.norm(r) / (
+        sigma_max * np.linalg.norm(x) + np.linalg.norm(rhs) + np.finfo(float).tiny
+    )
 
 
 def _guarded_lu_solve(
@@ -395,10 +437,43 @@ def _guarded_lu_solve(
         x = x + lu.solve(r)
     else:
         r = rhs - A @ x
-    backward = np.linalg.norm(r) / (
-        sigma_max * np.linalg.norm(x) + np.linalg.norm(rhs) + np.finfo(float).tiny
-    )
-    return x, sigma_min, backward
+    return x, sigma_min, _backward_error(r, x, rhs, sigma_max)
+
+
+def _single_precision_solve(A: sp.csc_matrix, rhs: np.ndarray, sigma_max: float):
+    """Factor A in complex64, apply its rcond bound and refine in complex128.
+
+    Returns (x, sigma_min, backward error) as _guarded_lu_solve does; x is
+    None when the factorization fails, when sigma_min / sigma_max, read
+    from the complex64 factor, is below SINGLE_PRECISION_RCOND, or when
+    the refined backward error is above REFINED_BACKWARD_ERROR.  The
+    factor takes the dissection-order options.  Starting from x = 0, each
+    step solves for the residual, formed in complex128 against A and
+    scaled to unit norm so that it neither underflows nor overflows in
+    complex64.  Refinement stops once ||r|| <= 1e-14 (1 + ||b||), after
+    _REFINEMENT_STEPS solves, or at a step that does not halve ||r||,
+    which is dropped.
+    """
+    try:
+        lu = spla.splu(A.astype(np.complex64, copy=False), **_DISSECTION_OPTIONS)
+    except RuntimeError:
+        return None, 0.0, np.inf
+    sigma_min = _estimate_sigma_min(lu, A.shape[0], np.complex64)
+    if not sigma_min >= SINGLE_PRECISION_RCOND * sigma_max:
+        return None, sigma_min, np.inf
+    x, r = np.zeros_like(rhs), rhs
+    scale = 1.0 + np.linalg.norm(rhs)
+    for _ in range(_REFINEMENT_STEPS):
+        norm = np.linalg.norm(r)
+        if not norm > 1e-14 * scale:
+            break
+        step = x + norm * lu.solve((r / norm).astype(np.complex64))
+        r_step = rhs - A @ step
+        if not np.linalg.norm(r_step) <= 0.5 * norm:
+            break
+        x, r = step, r_step
+    backward = _backward_error(r, x, rhs, sigma_max)
+    return (x if backward <= REFINED_BACKWARD_ERROR else None), sigma_min, backward
 
 
 def _direct_solve(
@@ -408,6 +483,7 @@ def _direct_solve(
     bases: Sequence[np.ndarray],
     sizes: np.ndarray,
     order: np.ndarray,
+    clipped: bool = False,
 ) -> np.ndarray:
     """Sparse direct solve guarded by a reciprocal condition estimate.
 
@@ -417,27 +493,31 @@ def _direct_solve(
     sizes[k] is the number of columns of element k.
 
     T^T A T is streamed in the element order given (the mesh's dissection
-    order) and factored as it is, with diagonal pivots.  When that
-    factorization fails, trips the guard or leaves a refined backward
-    error above REFINED_BACKWARD_ERROR, SuperLU factors the same matrix
-    again with its COLAMD column order and partial pivoting; only that
-    guard raises SingularSystemError.
+    order) and factored as it is, with diagonal pivots: first in
+    complex64 with refinement in complex128 (_single_precision_solve),
+    unless clipped says that the whitening of T clipped an eigenvalue,
+    which leaves the basis at the limit of double precision.  When the
+    complex64 route declines, or is skipped, the same matrix is factored
+    in complex128 with the same options and refined twice at most.  When
+    that factorization fails, trips the guard or leaves a refined
+    backward error above REFINED_BACKWARD_ERROR, SuperLU factors the
+    matrix again with its COLAMD column order and partial pivoting; only
+    that guard raises SingularSystemError.
     """
     ordering = _block_ordering(order, sizes)
     M = _block_congruence(A, bases, sizes, order)
     rhs = _basis_transpose_apply(bases, b, sizes)[ordering]
     sigma_max = _estimate_sigma_max(M, ordering)
-    try:
-        y, _, backward = _guarded_lu_solve(
-            M,
-            rhs,
-            sigma_max,
-            permc_spec="NATURAL",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError:
-        y = None
+    y = None
+    if not clipped:
+        y, _, backward = _single_precision_solve(M, rhs, sigma_max)
+    if y is None:
+        try:
+            y, _, backward = _guarded_lu_solve(
+                M, rhs, sigma_max, **_DISSECTION_OPTIONS
+            )
+        except RuntimeError:
+            y = None
     if y is None or not backward <= REFINED_BACKWARD_ERROR:
         try:
             y, sigma_min, _ = _guarded_lu_solve(M, rhs, sigma_max)
@@ -465,12 +545,14 @@ def solve_reduced_system(
     context: str,
     precond: np.ndarray,
     mesh: Mesh,
+    clipped: bool = False,
 ) -> np.ndarray:
     """Solve E^T A E y = E^T (b - A u_f) and return E y + u_f.
 
     precond (see embedding_preconditioner) changes the Trefftz basis of
     each element once more, to Q: the matrix factored is Q^T (E^T A E) Q,
-    in the mesh's nested-dissection order.
+    in the mesh's nested-dissection order, and in complex128 only when
+    clipped says that precond clipped an eigenvalue (see _direct_solve).
     """
     dims = np.diff(embedding.column_offsets)
     u_trefftz = _direct_solve(
@@ -480,5 +562,6 @@ def solve_reduced_system(
         [embedding.blocks, precond],
         dims,
         mesh.dissection_order,
+        clipped,
     )
     return u_trefftz + u_particular

@@ -220,7 +220,7 @@ def test_criterion_gauge_invariance():
     u_f = particular_field(mesh, local, case.f)
     A = assemble_sipdg(mesh, params)
     b = assemble_rhs(mesh, params, case.f, case.g)
-    precond = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
+    precond, _ = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
     base = solve_reduced_system(A, b, emb, u_f, "gauge", precond, mesh)
     rng = np.random.default_rng(42)
     worst = 0.0

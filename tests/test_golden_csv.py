@@ -2,10 +2,11 @@
 
 Each table in tests/data was written by `helmtrefftz run` with one BLAS
 and OpenMP thread, and the test runs with one.  The four small tables
-come out the same with two threads; sinsin_high does not: its p >= 6
-rows (orthonormalized kernels, errors at the round-off floor) follow
-the BLAS thread count, and with two threads its etvol p=12 L2 error
-reads 1.1749012189083416e-10 instead of 9.408385047395578e-11.  A change
+come out the same with two threads; sinsin_high does not: its dgvol
+p=8 row and both p=12 rows (orthonormalized kernels, errors at the
+round-off floor) follow the BLAS thread count, and with two threads its
+etvol p=12 L2 error reads 1.1749012189083416e-10 instead of
+9.408385047395578e-11.  A change
 that keeps behaviour keeps these bytes: any change to the arithmetic of
 assembly, kernels, preconditioners, LU or error norms moves the last
 digits of some error.  A change meant to alter the numbers regenerates

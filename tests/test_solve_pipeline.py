@@ -17,7 +17,7 @@ from helmtrefftz.dg_assembly import (
     assemble_sipdg,
     omega_values,
 )
-from helmtrefftz.exact_solutions import plane_wave_case, var_omega_case
+from helmtrefftz.exact_solutions import plane_wave_case, sinsin_case, var_omega_case
 from helmtrefftz.harness import RunConfig, run_experiment, solve
 from helmtrefftz.local_trefftz import (
     KernelDimensionWarning,
@@ -130,12 +130,12 @@ def test_no_source_is_bitwise_the_zero_source(p):
 
 def test_p1_methods_agree(splu_calls):
     # the Trefftz space equals the broken space at p=1: one factorization,
-    # and both fields carry the same coefficients and dofs
+    # in complex64, and both fields carry the same coefficients and dofs
     mesh = build_unit_square_mesh(3)
     params = FormParameters(omega=2.0, p=1)
     g = lambda pts, normals: np.exp(1j * pts[..., 0])
     fields = solve(mesh, params, zero_f, g)
-    assert len(splu_calls) == 1
+    assert [call[:2] for call in splu_calls] == [("NATURAL", np.complex64)]
     a, b = fields["standard"], fields["embedded"]
     assert np.array_equal(a.coefficients, b.coefficients)
     assert a.dofs == b.dofs == 54
@@ -152,7 +152,7 @@ def test_gauge_freedom_of_particular_solution():
     u_f = particular_field(mesh, local, f_cb)
     A = assemble_sipdg(mesh, params)
     b = assemble_rhs(mesh, params, f_cb, g_cb)
-    precond = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
+    precond, _ = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
     base = solve_reduced_system(A, b, emb, u_f, "test", precond, mesh)
     rng = np.random.default_rng(17)
     for _ in range(3):
@@ -192,7 +192,7 @@ def test_embedding_preconditioner_orthonormalizes(zeroed, monkeypatch):
         emb = build_global_embedding(all_local_trefftz(mesh, p, 2.0))
     grams = _element_mass_grams(mesh, p)
     dims = np.diff(emb.column_offsets)
-    Q = block_diag_matrix(embedding_preconditioner(emb, grams), dims, dims)
+    Q = block_diag_matrix(embedding_preconditioner(emb, grams)[0], dims, dims)
     T = embedding_matrix(emb) @ Q
     gram = (T.T @ sp.block_diag(list(grams)) @ T).toarray()
     assert np.abs(gram - np.eye(emb.n_columns)).max() <= 1e-10
@@ -201,7 +201,7 @@ def test_embedding_preconditioner_orthonormalizes(zeroed, monkeypatch):
 def _standard_case(mesh, p, omega):
     A = assemble_sipdg(mesh, FormParameters(omega=omega, p=p))
     sizes = np.full(mesh.n_elements, dim_poly(p))
-    return A, [mass_preconditioner(_element_mass_grams(mesh, p))], sizes
+    return A, [mass_preconditioner(_element_mass_grams(mesh, p))[0]], sizes
 
 
 def _embedded_case(mesh, p, omega):
@@ -209,7 +209,7 @@ def _embedded_case(mesh, p, omega):
         warnings.simplefilter("ignore", KernelDimensionWarning)
         emb = build_global_embedding(all_local_trefftz(mesh, p, omega))
     A = assemble_sipdg(mesh, FormParameters(omega=omega, p=p))
-    Q = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
+    Q, _ = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
     return A, [emb.blocks, Q], np.diff(emb.column_offsets)
 
 
@@ -266,7 +266,7 @@ def test_block_congruence_bitwise_embedded(p, monkeypatch):
     dims = np.diff(emb.column_offsets)
     assert len(set(dims)) == 2
     A = assemble_sipdg(mesh, FormParameters(omega=2.0, p=p))
-    Q = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
+    Q, _ = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
     sparse = [embedding_matrix(emb), block_diag_matrix(Q, dims, dims)]
     _assert_bitwise_sparse_products(A, [emb.blocks, Q], dims, sparse)
 
@@ -526,14 +526,16 @@ def test_near_singular_matrix_reported():
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """Record (permc_spec, nnz(L+U), matrix) of every SuperLU factorization."""
+    """Record (permc_spec, dtype, nnz(L+U), matrix) of every SuperLU
+    factorization."""
     calls = []
     splu = spla.splu
 
     def spy(A, *args, **kwargs):
         matrix = A.copy()
         lu = splu(A, *args, **kwargs)
-        calls.append((kwargs.get("permc_spec", "COLAMD"), lu.nnz, matrix))
+        spec = kwargs.get("permc_spec", "COLAMD")
+        calls.append((spec, matrix.dtype.type, lu.nnz, matrix))
         return lu
 
     monkeypatch.setattr(spla, "splu", spy)
@@ -551,7 +553,7 @@ def test_dissection_ordering_matches_colamd(method, splu_calls):
     A = assemble_sipdg(mesh, params)
     b = assemble_rhs(mesh, params, case.f, case.g)
     if method == "standard":
-        bases = [mass_preconditioner(_element_mass_grams(mesh, p))]
+        bases = [mass_preconditioner(_element_mass_grams(mesh, p))[0]]
         sizes = np.full(mesh.n_elements, dim_poly(p))
         ordered = _direct_solve(A, b, "test", bases, sizes, mesh.dissection_order)
         reference = reference_colamd_solve(A, b, bases, sizes)
@@ -559,13 +561,13 @@ def test_dissection_ordering_matches_colamd(method, splu_calls):
         local = all_local_trefftz(mesh, p, omega)
         emb = build_global_embedding(local)
         u_f = particular_field(mesh, local, case.f)
-        precond = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
+        precond, _ = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
         ordered = solve_reduced_system(A, b, emb, u_f, "test", precond, mesh)
         bases, dims = [emb.blocks, precond], np.diff(emb.column_offsets)
         reference = reference_colamd_solve(A, b - A @ u_f, bases, dims) + u_f
     assert np.linalg.norm(ordered - reference) <= 1e-10 * np.linalg.norm(reference)
-    (nd, nd_fill, _), (colamd, colamd_fill, _) = splu_calls
-    assert (nd, colamd) == ("NATURAL", "COLAMD")
+    (nd, nd_dtype, nd_fill, _), (colamd, _, colamd_fill, _) = splu_calls
+    assert (nd, nd_dtype, colamd) == ("NATURAL", np.complex64, "COLAMD")
     assert nd_fill < colamd_fill
 
 
@@ -573,9 +575,10 @@ def test_dissection_ordering_matches_colamd(method, splu_calls):
 def test_fallback_refactors_the_dissection_order_matrix(
     method, splu_calls, monkeypatch
 ):
-    # a rejected dissection-order solve falls back to COLAMD with partial
-    # pivoting on the very matrix it factored first, without a permuted
-    # copy, and returns the natural-order solution
+    # rejected dissection-order solves, in complex64 and then complex128,
+    # fall back to COLAMD with partial pivoting on the very matrix they
+    # factored, without a permuted copy, and return the natural-order
+    # solution
     monkeypatch.setattr(solve_pipeline, "REFINED_BACKWARD_ERROR", -1.0)
     mesh = build_unit_disk_mesh(3)
     p, omega = 3, 20.0
@@ -586,10 +589,16 @@ def test_fallback_refactors_the_dissection_order_matrix(
         A, bases, sizes = _embedded_case(mesh, p, omega)
     b = assemble_rhs(mesh, FormParameters(omega=omega, p=p), case.f, case.g)
     x = _direct_solve(A, b, "test", bases, sizes, mesh.dissection_order)
-    assert [spec for spec, *_ in splu_calls] == ["NATURAL", "COLAMD"]
-    (_, _, first), (_, _, second) = splu_calls
-    assert np.array_equal(second.indptr, first.indptr)
-    assert np.array_equal(second.indices, first.indices)
+    assert [call[:2] for call in splu_calls] == [
+        ("NATURAL", np.complex64),
+        ("NATURAL", np.complex128),
+        ("COLAMD", np.complex128),
+    ]
+    single, first, second = (call[-1] for call in splu_calls)
+    for other in (single, second):
+        assert np.array_equal(other.indptr, first.indptr)
+        assert np.array_equal(other.indices, first.indices)
+    assert np.array_equal(single.data, first.data.astype(np.complex64))
     assert np.array_equal(second.data.view(np.int64), first.data.view(np.int64))
     reference = reference_colamd_solve(A, b, bases, sizes)
     assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
@@ -608,8 +617,77 @@ def test_unpivoted_breakdown_falls_back_to_partial_pivoting(splu_calls):
     x = _direct_solve(
         A.tobsr(blocksize=(1, 1)), A @ x_true, "test", *_scalar_blocks(8)
     )
-    assert [spec for spec, *_ in splu_calls] == ["NATURAL", "COLAMD"]
+    assert [call[:2] for call in splu_calls] == [
+        ("NATURAL", np.complex64),
+        ("NATURAL", np.complex128),
+        ("COLAMD", np.complex128),
+    ]
     assert np.linalg.norm(x - x_true) <= 1e-12 * np.linalg.norm(x_true)
+
+
+def _unclipped_rung():
+    """A well-resolved standard rung whose whitening clips no eigenvalue:
+    the disk of 3 rings at p=3, omega=20."""
+    mesh = build_unit_disk_mesh(3)
+    p, omega = 3, 20.0
+    assert not mass_preconditioner(_element_mass_grams(mesh, p))[1]
+    case = plane_wave_case(omega)
+    A, bases, sizes = _standard_case(mesh, p, omega)
+    b = assemble_rhs(mesh, FormParameters(omega=omega, p=p), case.f, case.g)
+    return A, b, bases, sizes, mesh.dissection_order
+
+
+def test_unclipped_rung_factors_once_in_single_precision(splu_calls, monkeypatch):
+    # one complex64 factorization, refined in complex128 to a backward
+    # error within the bar, gives the complex128 solution to 1e-10
+    A, b, bases, sizes, order = _unclipped_rung()
+    backward = []
+    single = solve_pipeline._single_precision_solve
+
+    def spy(*args):
+        x, sigma_min, error = single(*args)
+        backward.append(error)
+        return x, sigma_min, error
+
+    monkeypatch.setattr(solve_pipeline, "_single_precision_solve", spy)
+    x = _direct_solve(A, b, "test", bases, sizes, order)
+    assert [call[:2] for call in splu_calls] == [("NATURAL", np.complex64)]
+    assert backward[0] <= solve_pipeline.REFINED_BACKWARD_ERROR
+    reference = _direct_solve(A, b, "test", bases, sizes, order, clipped=True)
+    assert splu_calls[1][:2] == ("NATURAL", np.complex128)
+    assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
+def test_clipped_rungs_factor_only_in_double_precision(splu_calls):
+    # at p=12 the whitening of both methods clips an eigenvalue, so both
+    # systems of the sinsin rung go straight to complex128
+    mesh = build_unit_square_mesh(4)
+    case = sinsin_case(1.0)
+    solve(mesh, FormParameters(omega=1.0, p=12), case.f, case.g)
+    assert [call[:2] for call in splu_calls] == [("NATURAL", np.complex128)] * 2
+
+
+@pytest.mark.parametrize(
+    "setting,value",
+    [("SINGLE_PRECISION_RCOND", 1.0), ("_REFINEMENT_STEPS", 0)],
+    ids=["bound-above-rcond", "no-refinement"],
+)
+def test_declined_single_precision_takes_the_double_precision_path(
+    setting, value, splu_calls, monkeypatch
+):
+    # a bound above the rung's rcond, or no refinement step, declines the
+    # complex64 solve: the rung is factored again in complex128, and its
+    # solution is bitwise that of the complex128 path
+    A, b, bases, sizes, order = _unclipped_rung()
+    reference = _direct_solve(A, b, "test", bases, sizes, order, clipped=True)
+    splu_calls.clear()
+    monkeypatch.setattr(solve_pipeline, setting, value)
+    x = _direct_solve(A, b, "test", bases, sizes, order)
+    assert [call[:2] for call in splu_calls] == [
+        ("NATURAL", np.complex64),
+        ("NATURAL", np.complex128),
+    ]
+    assert np.array_equal(x.view(np.int64), reference.view(np.int64))
 
 
 BENCHMARK_WORKLOADS = runpy.run_path(
@@ -617,54 +695,88 @@ BENCHMARK_WORKLOADS = runpy.run_path(
 )["WORKLOADS"]
 
 
-# the factorizations whose sigma_min estimate is checked against a dense SVD
-_DENSE_SVD_SIZE = 1600
+# the factorizations whose sigma_min and sigma_max estimates are checked
+# against a dense SVD
+_DENSE_SVD_SIZE = 3000
 
 
 @pytest.fixture(scope="module", params=sorted(BENCHMARK_WORKLOADS))
 def benchmark_factorizations(request):
-    """Run one benchmark workload; (workload, SuperLU column orders of every
-    factorization, [(sigma_min estimate, sigma_max, factored matrix at
+    """Run one benchmark workload; (workload, (SuperLU column order, dtype)
+    of every factorization, [(factor dtype, x returned, sigma_min estimate,
+    sigma_max estimate, dense singular values of the factored matrix at
     most _DENSE_SVD_SIZE dofs or None)] of every guarded solve)."""
     specs, solves = [], []
-    splu, guarded = spla.splu, solve_pipeline._guarded_lu_solve
+    splu = spla.splu
 
     def splu_spy(A, *args, **kwargs):
-        specs.append(kwargs.get("permc_spec", "COLAMD"))
+        specs.append((kwargs.get("permc_spec", "COLAMD"), A.dtype.type))
         return splu(A, *args, **kwargs)
 
-    def guarded_spy(M, rhs, sigma_max, **options):
-        x, sigma_min, backward = guarded(M, rhs, sigma_max, **options)
-        small = M.copy() if M.shape[0] <= _DENSE_SVD_SIZE else None
-        solves.append((sigma_min, sigma_max, small))
-        return x, sigma_min, backward
+    def guarded_spy(guarded, dtype):
+        def spy(M, rhs, sigma_max, **options):
+            x, sigma_min, backward = guarded(M, rhs, sigma_max, **options)
+            small = M.copy() if M.shape[0] <= _DENSE_SVD_SIZE else None
+            solves.append((dtype, x is not None, sigma_min, sigma_max, small))
+            return x, sigma_min, backward
+
+        return spy
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spla, "splu", splu_spy)
-        patch.setattr(solve_pipeline, "_guarded_lu_solve", guarded_spy)
+        for name, dtype in [
+            ("_guarded_lu_solve", np.complex128),
+            ("_single_precision_solve", np.complex64),
+        ]:
+            spy = guarded_spy(getattr(solve_pipeline, name), dtype)
+            patch.setattr(solve_pipeline, name, spy)
         run_experiment(RunConfig(**BENCHMARK_WORKLOADS[request.param]))
+    solves = [
+        (*solve[:4], None if solve[4] is None else
+         np.linalg.svd(solve[4].toarray(), compute_uv=False))
+        for solve in solves
+    ]
     return request.param, specs, solves
 
 
 def test_benchmark_rungs_take_no_fallback(benchmark_factorizations):
     # every benchmark rung is solved in dissection order with diagonal
-    # pivots alone, so the fallback cannot move a byte of its CSV
+    # pivots alone, once, in the precision chosen before factoring: no
+    # complex64 solve declines and no rung reaches COLAMD
     workload, specs, solves = benchmark_factorizations
-    assert specs and set(specs) == {"NATURAL"}
-    rconds = [sigma_min / sigma_max for sigma_min, sigma_max, _ in solves]
+    assert specs and {spec for spec, _ in specs} == {"NATURAL"}
+    assert len(specs) == len(solves)
+    assert all(accepted for _, accepted, *_ in solves)
+    rconds = [sigma_min / sigma_max for _, _, sigma_min, sigma_max, _ in solves]
     print(f"{workload}: smallest rcond estimate {min(rconds):.3g}")
 
 
 def test_sigma_min_estimate_on_benchmark_rungs(benchmark_factorizations):
-    # the Lanczos estimate bounds sigma_min from above, to rounding, and
-    # lies within 5 % of the dense SVD's value on every small factorization;
-    # the SVD itself is exact only to about eps * sigma_max
+    # the Lanczos estimate lies within 5 % above the dense SVD's sigma_min
+    # on every small factorization, and not below it beyond rounding: the
+    # SVD itself is exact only to about eps * sigma_max, and a complex64
+    # factor is the factor of a matrix within about eps_32 * sigma_max
     workload, _, solves = benchmark_factorizations
-    checked = [(s, M) for s, _, M in solves if M is not None]
+    checked = [solve for solve in solves if solve[-1] is not None]
     assert checked
-    for estimate, M in checked:
-        sigma = np.linalg.svd(M.toarray(), compute_uv=False)
+    for dtype, _, estimate, _, sigma in checked:
         exact, rounding = sigma[-1], np.finfo(float).eps * sigma[0]
-        print(f"{workload}: n={M.shape[0]} sigma_min estimate/exact - 1 = "
-              f"{estimate / exact - 1.0:+.2e}")
+        if dtype is np.complex64:
+            rounding += np.finfo(np.float32).eps * sigma[0]
+        print(f"{workload}: n={sigma.size} {dtype.__name__} sigma_min "
+              f"estimate/exact - 1 = {estimate / exact - 1.0:+.2e}")
         assert exact * (1.0 - 1e-12) - rounding <= estimate <= exact * 1.05
+
+
+def test_sigma_max_estimate_on_benchmark_rungs(benchmark_factorizations):
+    # the Lanczos estimate of ||M||_2 lies at most 5 % below the dense
+    # SVD's sigma_max on every factorization up to _DENSE_SVD_SIZE dofs,
+    # and not above it beyond rounding
+    workload, _, solves = benchmark_factorizations
+    checked = [solve for solve in solves if solve[-1] is not None]
+    assert checked
+    for _, _, _, estimate, sigma in checked:
+        exact, rounding = sigma[0], np.finfo(float).eps * sigma[0]
+        print(f"{workload}: n={sigma.size} sigma_max estimate/exact - 1 = "
+              f"{estimate / exact - 1.0:+.2e}")
+        assert exact * 0.95 <= estimate <= exact * (1.0 + 1e-12) + rounding
