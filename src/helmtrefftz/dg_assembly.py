@@ -82,12 +82,24 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_positive_real(name: str, value) -> None:
+    """Refuse, naming the field, a value that is not a finite positive real
+    number; a bool, a complex number or a string is refused."""
+    if not (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0.0
+    ):
+        raise ValueError(f"{name} must be a finite positive real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FormParameters:
     """Wavenumber (constant or spatial function), penalty, and degree.
 
     p must be an integer (a numpy integer is kept as an int; bool is
-    refused).
+    refused); alpha and a constant omega must be finite positive reals.
     """
 
     omega: float | Callable
@@ -95,19 +107,12 @@ class FormParameters:
     alpha: float = 10.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(
-                f"penalty must be finite and positive, got alpha={self.alpha}"
-            )
+        _check_positive_real("alpha", self.alpha)
         if not (_is_integer(self.p) and self.p >= 0):
             raise ValueError(f"degree must be an integer >= 0, got p={self.p!r}")
         object.__setattr__(self, "p", int(self.p))
-        if not callable(self.omega) and not (
-            math.isfinite(self.omega) and self.omega > 0.0
-        ):
-            raise ValueError(
-                f"wavenumber must be finite and positive, got omega={self.omega}"
-            )
+        if not callable(self.omega):
+            _check_positive_real("omega", self.omega)
 
 
 def _reject_at_points(

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dg_assembly import omega_values
+from .dg_assembly import _check_positive_real, omega_values
 
 __all__ = [
     "ManufacturedCase",
@@ -53,12 +53,6 @@ class ManufacturedCase:
         )
 
 
-def _check_wavenumber(omega) -> None:
-    """Reject a constant wavenumber that is not finite and positive."""
-    if not (np.isfinite(omega) and omega > 0.0):
-        raise ValueError(f"wavenumber omega must be finite and positive, got {omega!r}")
-
-
 def hankel_case(omega: float = 10.0, source_point=(-0.25, 0.0)) -> ManufacturedCase:
     """Radiating fundamental-solution benchmark on the unit square.
 
@@ -69,7 +63,7 @@ def hankel_case(omega: float = 10.0, source_point=(-0.25, 0.0)) -> ManufacturedC
     # imported here, so that importing the package leaves scipy.special out
     from scipy.special import j0, j1, y0, y1
 
-    _check_wavenumber(omega)
+    _check_positive_real("omega", omega)
     x0 = np.asarray(source_point, dtype=float)
     if 0.0 <= x0[0] <= 1.0 and 0.0 <= x0[1] <= 1.0:
         raise ValueError(f"source point {source_point} must lie outside the domain")
@@ -108,7 +102,7 @@ def plane_wave_case(omega: float) -> ManufacturedCase:
 
     It solves the homogeneous equation, so f is None.
     """
-    _check_wavenumber(omega)
+    _check_positive_real("omega", omega)
     d = np.array([1.0, -1.0]) / np.sqrt(2.0)
 
     def u(points):
@@ -130,7 +124,7 @@ def plane_wave_case(omega: float) -> ManufacturedCase:
 
 def sinsin_case(omega: float = 1.0) -> ManufacturedCase:
     """Smooth standing solution sin(pi x) sin(pi y) on the unit square."""
-    _check_wavenumber(omega)
+    _check_positive_real("omega", omega)
 
     def u(points):
         pts = np.asarray(points, dtype=float)

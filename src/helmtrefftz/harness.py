@@ -26,14 +26,19 @@ count.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dg_assembly import FormParameters, _is_integer, assemble_rhs, assemble_sipdg
+from .dg_assembly import (
+    FormParameters,
+    _check_positive_real,
+    _is_integer,
+    assemble_rhs,
+    assemble_sipdg,
+)
 from .error_analysis import ErrorReport, dg_error, dofs_per_wavelength, eoc, l2_error
 from .exact_solutions import (
     ManufacturedCase,
@@ -152,21 +157,18 @@ class RunConfig:
                 f"levels must be at most that, got levels={levels}"
             )
         object.__setattr__(self, "levels", levels)
+        for omega in self.omegas:
+            _check_positive_real("omegas", omega)
         omegas = tuple(float(o) for o in self.omegas)
         if omegas and self.experiment != "planewave":
             raise ValueError(
                 f"omegas apply to planewave only; {self.experiment} fixes its "
                 f"wavenumber, got omegas={omegas}"
             )
-        if not all(math.isfinite(o) and o > 0.0 for o in omegas):
-            raise ValueError(f"omegas must be finite and positive, got {omegas}")
         if self.experiment == "planewave":
             omegas = omegas or (100.0,)
         object.__setattr__(self, "omegas", omegas)
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(
-                f"penalty alpha must be finite and positive, got alpha={self.alpha}"
-            )
+        _check_positive_real("alpha", self.alpha)
         if not (_is_integer(self.dof_cap) and self.dof_cap >= 1):
             raise ValueError(
                 f"dof_cap must be an integer >= 1, got dof_cap={self.dof_cap!r}"

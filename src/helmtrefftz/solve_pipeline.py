@@ -28,21 +28,20 @@ dg_assembly and polyspace._weighted_gram).
 All linear systems use a direct sparse LU factorization in the mesh's
 nested-dissection order: the congruence writes each tile straight to its
 place in that order, into the CSC arrays that SuperLU factors, and the
-COLAMD fallback factors that same matrix.  A reciprocal condition
-estimate below 1e-13 raises SingularSystemError, which signals a mesh
-too coarse for the requested wavenumber.  Its sigma_min and sigma_max
-come from one Lanczos routine: 5 steps, with full reorthogonalization,
-on (A A^H)^-1 (10 solves per factor) and on A^H A.  The solution reads
-them only through that guard and the single-precision bound below.
-
-The precision is chosen before factoring.  A system whose whitening
-clipped an eigenvalue (see mass_preconditioner) has a basis at the
-limit of double precision and is factored in complex128.  Any other is
-factored in complex64, which halves the factor's memory, and refined
-with complex128 residuals against the complex128 matrix; an rcond read
-from that factor below 1e-6, or a refined backward error above
-REFINED_BACKWARD_ERROR, sends it to the complex128 factorization.  The
-accepted solutions of both precisions meet the same backward-error bar.
+COLAMD fallback factors that same matrix.  Every factorization, in
+either precision, goes through one routine (_factored_solve): it
+estimates sigma_min on the factor, by 5 Lanczos steps with full
+reorthogonalization on (A A^H)^-1 (10 solves per factor), against
+sigma_max from the same routine on A^H A, and refines from x = 0 with
+complex128 residuals.  A system whose whitening clipped an eigenvalue
+(see mass_preconditioner) has a basis at the limit of double precision
+and is factored in complex128; any other is factored first in
+complex64, which halves the factor's memory.  An rcond below
+SINGLE_PRECISION_RCOND (1e-6) on a complex64 factor or RCOND_THRESHOLD
+(1e-13) on a complex128 one, or a refined backward error above
+REFINED_BACKWARD_ERROR, sends the system to the next factorization;
+the last, with COLAMD, raises SingularSystemError below 1e-13, which
+signals a mesh too coarse for the requested wavenumber.
 """
 
 from __future__ import annotations
@@ -79,8 +78,8 @@ REFINED_BACKWARD_ERROR = 1e-12
 # smallest rcond read from a complex64 factor that is refined rather than
 # refactored in complex128: kappa * u_32 ~ 0.06 there
 SINGLE_PRECISION_RCOND = 1e-6
-# largest number of complex64 solves, the first included, that a system
-# factored in complex64 takes in refinement
+# largest number of solves, the first included, that refinement takes on
+# one factor of either precision
 _REFINEMENT_STEPS = 8
 # SuperLU options of the dissection-order factorizations: the matrix's own
 # order, diagonal pivots
@@ -379,7 +378,7 @@ def _estimate_sigma_max(A: sp.spmatrix, ordering: np.ndarray) -> float:
     return float(np.sqrt(lam))
 
 
-def _estimate_sigma_min(lu, size: int, dtype=complex) -> float:
+def _estimate_sigma_min(lu, size: int, dtype) -> float:
     """Lanczos estimate of the smallest singular value of the factored
     matrix, from above, on (A A^H)^-1 with two solves per step.  dtype
     is the factor's; the Lanczos vectors stay complex128."""
@@ -414,66 +413,38 @@ def _backward_error(r, x, rhs, sigma_max: float) -> float:
     )
 
 
-def _guarded_lu_solve(
-    A: sp.csc_matrix, rhs: np.ndarray, sigma_max: float, **splu_options
+def _factored_solve(
+    M: sp.csc_matrix, rhs: np.ndarray, sigma_max: float, dtype, bound: float, **options
 ):
-    """Factor A, apply the rcond guard and solve with iterative refinement.
+    """Factor M in dtype, apply the rcond bound and refine in complex128.
 
-    Returns (x, sigma_min, backward error); x is None when the guard
-    trips.  The backward error is ||b - A x|| / (sigma_max ||x|| + ||b||)
-    after at most two refinement rounds.  SuperLU's RuntimeError on an
-    exactly singular factor propagates.
+    Returns (x, sigma_min, backward error ||b - M x|| / (sigma_max ||x||
+    + ||b||)); x is None when sigma_min, read from the factor, is not at
+    least bound * sigma_max (a NaN estimate included).  SuperLU's
+    RuntimeError on an exactly singular factor propagates.  Starting
+    from x = 0, each step solves for the residual, formed in complex128
+    against M and scaled to unit norm so that it neither underflows nor
+    overflows in complex64.  The first solve is always kept; refinement
+    stops once ||r|| <= 1e-14 ||b||, after _REFINEMENT_STEPS solves, or
+    at a later step that does not halve ||r||, which is dropped.
     """
-    lu = spla.splu(A, **splu_options)
-    sigma_min = _estimate_sigma_min(lu, A.shape[0])
-    if sigma_max > 0.0 and sigma_min / sigma_max < RCOND_THRESHOLD:
-        return None, sigma_min, np.inf
-    x = lu.solve(rhs)
-    scale = 1.0 + np.linalg.norm(rhs)
-    for _ in range(2):  # iterative refinement sharpens the forward error
-        r = rhs - A @ x
-        if np.linalg.norm(r) <= 1e-14 * scale:
-            break
-        x = x + lu.solve(r)
-    else:
-        r = rhs - A @ x
-    return x, sigma_min, _backward_error(r, x, rhs, sigma_max)
-
-
-def _single_precision_solve(A: sp.csc_matrix, rhs: np.ndarray, sigma_max: float):
-    """Factor A in complex64, apply its rcond bound and refine in complex128.
-
-    Returns (x, sigma_min, backward error) as _guarded_lu_solve does; x is
-    None when the factorization fails, when sigma_min / sigma_max, read
-    from the complex64 factor, is below SINGLE_PRECISION_RCOND, or when
-    the refined backward error is above REFINED_BACKWARD_ERROR.  The
-    factor takes the dissection-order options.  Starting from x = 0, each
-    step solves for the residual, formed in complex128 against A and
-    scaled to unit norm so that it neither underflows nor overflows in
-    complex64.  Refinement stops once ||r|| <= 1e-14 (1 + ||b||), after
-    _REFINEMENT_STEPS solves, or at a step that does not halve ||r||,
-    which is dropped.
-    """
-    try:
-        lu = spla.splu(A.astype(np.complex64, copy=False), **_DISSECTION_OPTIONS)
-    except RuntimeError:
-        return None, 0.0, np.inf
-    sigma_min = _estimate_sigma_min(lu, A.shape[0], np.complex64)
-    if not sigma_min >= SINGLE_PRECISION_RCOND * sigma_max:
+    lu = spla.splu(M.astype(dtype, copy=False), **options)
+    sigma_min = _estimate_sigma_min(lu, M.shape[0], dtype)
+    if not sigma_min >= bound * sigma_max:
         return None, sigma_min, np.inf
     x, r = np.zeros_like(rhs), rhs
-    scale = 1.0 + np.linalg.norm(rhs)
-    for _ in range(_REFINEMENT_STEPS):
-        norm = np.linalg.norm(r)
-        if not norm > 1e-14 * scale:
+    norm = np.linalg.norm(rhs)
+    stop = 1e-14 * norm
+    for step in range(_REFINEMENT_STEPS):
+        if not norm > stop:
             break
-        step = x + norm * lu.solve((r / norm).astype(np.complex64))
-        r_step = rhs - A @ step
-        if not np.linalg.norm(r_step) <= 0.5 * norm:
+        x_step = x + norm * lu.solve((r / norm).astype(dtype, copy=False))
+        r_step = rhs - M @ x_step
+        norm_step = np.linalg.norm(r_step)
+        if step and not norm_step <= 0.5 * norm:
             break
-        x, r = step, r_step
-    backward = _backward_error(r, x, rhs, sigma_max)
-    return (x if backward <= REFINED_BACKWARD_ERROR else None), sigma_min, backward
+        x, r, norm = x_step, r_step, norm_step
+    return x, sigma_min, _backward_error(r, x, rhs, sigma_max)
 
 
 def _direct_solve(
@@ -493,45 +464,49 @@ def _direct_solve(
     sizes[k] is the number of columns of element k.
 
     T^T A T is streamed in the element order given (the mesh's dissection
-    order) and factored as it is, with diagonal pivots: first in
-    complex64 with refinement in complex128 (_single_precision_solve),
-    unless clipped says that the whitening of T clipped an eigenvalue,
-    which leaves the basis at the limit of double precision.  When the
-    complex64 route declines, or is skipped, the same matrix is factored
-    in complex128 with the same options and refined twice at most.  When
-    that factorization fails, trips the guard or leaves a refined
-    backward error above REFINED_BACKWARD_ERROR, SuperLU factors the
-    matrix again with its COLAMD column order and partial pivoting; only
-    that guard raises SingularSystemError.
+    order) and solved by _factored_solve in up to three attempts, each
+    taken when the one before fails to factor, trips its rcond bound or
+    leaves a backward error above REFINED_BACKWARD_ERROR: the matrix as
+    it is, with diagonal pivots, in complex64 (bound
+    SINGLE_PRECISION_RCOND), skipped when clipped says that the
+    whitening of T clipped an eigenvalue, which leaves the basis at the
+    limit of double precision; the same in complex128 (bound
+    RCOND_THRESHOLD); and, as the last resort, SuperLU's COLAMD column
+    order with partial pivoting in complex128.  Only the last attempt
+    raises SingularSystemError, and its solution is kept whatever its
+    backward error.
     """
     ordering = _block_ordering(order, sizes)
     M = _block_congruence(A, bases, sizes, order)
     rhs = _basis_transpose_apply(bases, b, sizes)[ordering]
     sigma_max = _estimate_sigma_max(M, ordering)
-    y = None
-    if not clipped:
-        y, _, backward = _single_precision_solve(M, rhs, sigma_max)
-    if y is None:
+    attempts = [
+        (np.complex64, SINGLE_PRECISION_RCOND, _DISSECTION_OPTIONS),
+        (complex, RCOND_THRESHOLD, _DISSECTION_OPTIONS),
+        (complex, RCOND_THRESHOLD, {}),
+    ]
+    for dtype, bound, options in attempts[clipped:]:
+        y, failure = None, None
         try:
-            y, _, backward = _guarded_lu_solve(
-                M, rhs, sigma_max, **_DISSECTION_OPTIONS
+            y, sigma_min, backward = _factored_solve(
+                M, rhs, sigma_max, dtype, bound, **options
             )
-        except RuntimeError:
-            y = None
-    if y is None or not backward <= REFINED_BACKWARD_ERROR:
-        try:
-            y, sigma_min, _ = _guarded_lu_solve(M, rhs, sigma_max)
         except RuntimeError as exc:
-            raise SingularSystemError(
-                0.0, f"singular matrix ({context}): {exc}"
-            ) from exc
-        if y is None:
-            raise SingularSystemError(
-                sigma_min,
-                f"near-singular matrix ({context}): sigma_min~{sigma_min:.3e}, "
-                f"rcond~{sigma_min / sigma_max:.3e}; the mesh is likely too coarse "
-                "for this wavenumber",
-            )
+            failure = exc
+            continue
+        if backward <= REFINED_BACKWARD_ERROR:
+            break
+    if failure is not None:
+        raise SingularSystemError(
+            0.0, f"singular matrix ({context}): {failure}"
+        ) from failure
+    if y is None:
+        raise SingularSystemError(
+            sigma_min,
+            f"near-singular matrix ({context}): sigma_min~{sigma_min:.3e}, "
+            f"rcond~{sigma_min / sigma_max:.3e}; the mesh is likely too coarse "
+            "for this wavenumber",
+        )
     x = np.empty_like(y)
     x[ordering] = y
     return _basis_apply(bases, x, sizes)

@@ -64,6 +64,16 @@ def test_form_parameters_refuse_a_degree_that_is_not_an_integer(p):
     assert params.p == 3 and type(params.p) is int
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("omega", True), ("omega", 1 + 2j), ("omega", "2"), ("alpha", True), ("alpha", 1j)],
+)
+def test_form_parameters_refuse_a_wavenumber_or_penalty_that_is_not_real(field, value):
+    # True used to be read as 1, and a complex value raised a bare TypeError
+    with pytest.raises(ValueError, match=f"{field} must be a finite positive real"):
+        FormParameters(**{"omega": 1.0, "p": 2, field: value})
+
+
 @pytest.mark.parametrize("bad", [float("nan"), -2.0])
 def test_callable_omega_rejected_at_one_quadrature_node(bad):
     # omega(x) is fine everywhere but at one node of element 5

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -63,10 +65,14 @@ def test_hankel_rejects_evaluation_at_source():
         case.u(np.array([-0.25, 0.0]))
 
 
-@pytest.mark.parametrize("omega", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize(
+    "omega", [float("nan"), float("inf"), 0.0, -1.0, True, 1 + 2j, "10"]
+)
 @pytest.mark.parametrize("build", [hankel_case, plane_wave_case, sinsin_case])
 def test_constant_wavenumber_rejected_unless_finite_positive(build, omega):
-    with pytest.raises(ValueError, match=rf"omega .*got {omega!r}"):
+    # True used to build the omega=1 case, and 1+2j and "10" raised a
+    # TypeError
+    with pytest.raises(ValueError, match=rf"omega .*got {re.escape(repr(omega))}"):
         build(omega)
 
 

@@ -5,12 +5,15 @@ and OpenMP thread, and the test runs with one.  The four small tables
 come out the same with two threads; sinsin_high does not: its dgvol
 p=8 row and both p=12 rows (orthonormalized kernels, errors at the
 round-off floor) follow the BLAS thread count, and with two threads its
-etvol p=12 L2 error reads 1.1749012189083416e-10 instead of
-9.408385047395578e-11.  A change
+etvol p=12 L2 error reads 1.1749003080119482e-10 instead of
+9.408372014478273e-11.  A change
 that keeps behaviour keeps these bytes: any change to the arithmetic of
 assembly, kernels, preconditioners, LU or error norms moves the last
 digits of some error.  A change meant to alter the numbers regenerates
-the tables with the commands below and says why.
+the tables it moves, with the test's own commands, environment and
+thread count, and says why:
+
+    python tests/test_golden_csv.py NAME [NAME ...]
 """
 
 import os
@@ -34,17 +37,34 @@ CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_csv_matches_golden_bytes(name, tmp_path):
+def _run(name: str, out: Path) -> subprocess.CompletedProcess:
+    """Write table name to out with `helmtrefftz run` at one thread."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = tmp_path / f"{name}.csv"
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "helmtrefftz", "run", *CONFIGS[name], "--out", str(out)],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_csv_matches_golden_bytes(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    result = _run(name, out)
     assert result.returncode == 0, result.stderr
     assert out.read_bytes() == (DATA / f"golden_{name}.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    names = sys.argv[1:]
+    unknown = sorted(set(names) - set(CONFIGS))
+    if not names or unknown:
+        sys.exit(f"usage: {sys.argv[0]} NAME... with NAME in {sorted(CONFIGS)}")
+    for name in names:
+        result = _run(name, DATA / f"golden_{name}.csv")
+        if result.returncode:
+            sys.exit(result.stderr)
+        print(f"wrote {DATA / f'golden_{name}.csv'}")

@@ -170,12 +170,18 @@ def test_config_validation():
         ("omegas", (100, 100)),
         ("dof_cap", 2.5),
         ("dof_cap", True),
+        ("omegas", (True,)),
+        ("omegas", ("a",)),
+        ("omegas", (1 + 2j,)),
+        ("alpha", True),
+        ("alpha", 1j),
     ],
 )
 def test_config_rejects_bad_bump_and_cap(field, value):
     # rejected before any rung is solved, naming the field; a repeated
-    # degree or wavenumber used to write its rows twice, and dof_cap=True
-    # used to be read as a cap of one dof
+    # degree or wavenumber used to write its rows twice, dof_cap=True
+    # used to be read as a cap of one dof, a bool wavenumber or penalty
+    # as 1, and omegas=("a",) raised a ValueError that did not name omegas
     with pytest.raises(ValueError, match=field):
         RunConfig(**{"experiment": "planewave", "degrees": (2,), field: value})
 

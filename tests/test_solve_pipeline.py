@@ -642,14 +642,14 @@ def test_unclipped_rung_factors_once_in_single_precision(splu_calls, monkeypatch
     # error within the bar, gives the complex128 solution to 1e-10
     A, b, bases, sizes, order = _unclipped_rung()
     backward = []
-    single = solve_pipeline._single_precision_solve
+    factored = solve_pipeline._factored_solve
 
-    def spy(*args):
-        x, sigma_min, error = single(*args)
+    def spy(*args, **options):
+        x, sigma_min, error = factored(*args, **options)
         backward.append(error)
         return x, sigma_min, error
 
-    monkeypatch.setattr(solve_pipeline, "_single_precision_solve", spy)
+    monkeypatch.setattr(solve_pipeline, "_factored_solve", spy)
     x = _direct_solve(A, b, "test", bases, sizes, order)
     assert [call[:2] for call in splu_calls] == [("NATURAL", np.complex64)]
     assert backward[0] <= solve_pipeline.REFINED_BACKWARD_ERROR
@@ -669,25 +669,58 @@ def test_clipped_rungs_factor_only_in_double_precision(splu_calls):
 
 @pytest.mark.parametrize(
     "setting,value",
-    [("SINGLE_PRECISION_RCOND", 1.0), ("_REFINEMENT_STEPS", 0)],
+    [("SINGLE_PRECISION_RCOND", 1.0), ("_REFINEMENT_STEPS", 1)],
     ids=["bound-above-rcond", "no-refinement"],
 )
 def test_declined_single_precision_takes_the_double_precision_path(
     setting, value, splu_calls, monkeypatch
 ):
-    # a bound above the rung's rcond, or no refinement step, declines the
-    # complex64 solve: the rung is factored again in complex128, and its
-    # solution is bitwise that of the complex128 path
+    # a bound above the rung's rcond, or a single solve with no refinement
+    # step, declines the complex64 solve: the rung is factored again in
+    # complex128, and its solution is bitwise that of the complex128 path
+    # under the same setting
     A, b, bases, sizes, order = _unclipped_rung()
+    monkeypatch.setattr(solve_pipeline, setting, value)
     reference = _direct_solve(A, b, "test", bases, sizes, order, clipped=True)
     splu_calls.clear()
-    monkeypatch.setattr(solve_pipeline, setting, value)
     x = _direct_solve(A, b, "test", bases, sizes, order)
     assert [call[:2] for call in splu_calls] == [
         ("NATURAL", np.complex64),
         ("NATURAL", np.complex128),
     ]
     assert np.array_equal(x.view(np.int64), reference.view(np.int64))
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-20])
+def test_small_load_factors_once_in_single_precision(scale, splu_calls):
+    # the refinement stops relative to ||b||: a load of norm 2.2e-9 used
+    # to stop at an absolute floor with a forward error of 4e-10, and one
+    # of 2.2e-19 before its first solve, which sent it to complex128
+    mesh = build_unit_disk_mesh(6)
+    p, omega = 3, 20.0
+    params = FormParameters(omega=omega, p=p)
+    A, bases, sizes = _standard_case(mesh, p, omega)
+    b = assemble_rhs(mesh, params, None, plane_wave_case(omega).g)
+    unit = _direct_solve(A, b, "test", bases, sizes, mesh.dissection_order)
+    splu_calls.clear()
+    x = _direct_solve(A, scale * b, "test", bases, sizes, mesh.dissection_order)
+    assert [call[:2] for call in splu_calls] == [("NATURAL", np.complex64)]
+    assert np.linalg.norm(x - scale * unit) <= 1e-12 * np.linalg.norm(scale * unit)
+
+
+def test_nan_sigma_min_estimate_raises(splu_calls, monkeypatch):
+    # a NaN estimate passes no rcond bound: every attempt declines and
+    # the last raises; the complex128 guard used to let it through
+    monkeypatch.setattr(solve_pipeline, "_estimate_sigma_min", lambda *args: np.nan)
+    case = sinsin_case(1.0)
+    with pytest.raises(SingularSystemError) as info:
+        solve(build_unit_square_mesh(2), FormParameters(omega=1.0, p=3), case.f, case.g)
+    assert np.isnan(info.value.sigma_min)
+    assert [call[:2] for call in splu_calls] == [
+        ("NATURAL", np.complex64),
+        ("NATURAL", np.complex128),
+        ("COLAMD", np.complex128),
+    ]
 
 
 BENCHMARK_WORKLOADS = runpy.run_path(
@@ -703,9 +736,10 @@ _DENSE_SVD_SIZE = 3000
 @pytest.fixture(scope="module", params=sorted(BENCHMARK_WORKLOADS))
 def benchmark_factorizations(request):
     """Run one benchmark workload; (workload, (SuperLU column order, dtype)
-    of every factorization, [(factor dtype, x returned, sigma_min estimate,
-    sigma_max estimate, dense singular values of the factored matrix at
-    most _DENSE_SVD_SIZE dofs or None)] of every guarded solve)."""
+    of every factorization, [(factor dtype, backward error within the bar,
+    sigma_min estimate, sigma_max estimate, dense singular values of the
+    factored matrix at most _DENSE_SVD_SIZE dofs or None)] of every
+    _factored_solve)."""
     specs, solves = [], []
     splu = spla.splu
 
@@ -713,23 +747,18 @@ def benchmark_factorizations(request):
         specs.append((kwargs.get("permc_spec", "COLAMD"), A.dtype.type))
         return splu(A, *args, **kwargs)
 
-    def guarded_spy(guarded, dtype):
-        def spy(M, rhs, sigma_max, **options):
-            x, sigma_min, backward = guarded(M, rhs, sigma_max, **options)
-            small = M.copy() if M.shape[0] <= _DENSE_SVD_SIZE else None
-            solves.append((dtype, x is not None, sigma_min, sigma_max, small))
-            return x, sigma_min, backward
+    factored = solve_pipeline._factored_solve
 
-        return spy
+    def factored_spy(M, rhs, sigma_max, dtype, bound, **options):
+        x, sigma_min, backward = factored(M, rhs, sigma_max, dtype, bound, **options)
+        accepted = backward <= solve_pipeline.REFINED_BACKWARD_ERROR
+        small = M.copy() if M.shape[0] <= _DENSE_SVD_SIZE else None
+        solves.append((np.dtype(dtype).type, accepted, sigma_min, sigma_max, small))
+        return x, sigma_min, backward
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spla, "splu", splu_spy)
-        for name, dtype in [
-            ("_guarded_lu_solve", np.complex128),
-            ("_single_precision_solve", np.complex64),
-        ]:
-            spy = guarded_spy(getattr(solve_pipeline, name), dtype)
-            patch.setattr(solve_pipeline, name, spy)
+        patch.setattr(solve_pipeline, "_factored_solve", factored_spy)
         run_experiment(RunConfig(**BENCHMARK_WORKLOADS[request.param]))
     solves = [
         (*solve[:4], None if solve[4] is None else
