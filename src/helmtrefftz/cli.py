@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     except SingularSystemError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(summarize(reports))

@@ -64,7 +64,12 @@ def hankel_case(omega: float = 10.0, source_point=(-0.25, 0.0)) -> ManufacturedC
     from scipy.special import j0, j1, y0, y1
 
     _check_positive_real("omega", omega)
-    x0 = np.asarray(source_point, dtype=float)
+    try:
+        x0 = np.asarray(source_point)
+    except ValueError:  # a ragged sequence
+        x0 = np.empty(0)
+    if x0.shape != (2,) or x0.dtype.kind not in "iuf" or not np.isfinite(x0).all():
+        raise ValueError(f"source_point must be two finite reals, got {source_point!r}")
     if 0.0 <= x0[0] <= 1.0 and 0.0 <= x0[1] <= 1.0:
         raise ValueError(f"source point {source_point} must lie outside the domain")
 

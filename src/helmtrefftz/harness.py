@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .dg_assembly import (
     FormParameters,
     _check_positive_real,
@@ -176,6 +174,11 @@ class RunConfig:
         object.__setattr__(self, "dof_cap", int(self.dof_cap))
         for name in ("degrees", "omegas"):
             _refuse_repeats(name, getattr(self, name))
+        out = None if self.out is None else Path(self.out)
+        if out is not None and (out.is_dir() or not out.parent.is_dir()):
+            raise ValueError(
+                f"out must name a file in an existing directory, got out={str(out)!r}"
+            )
 
 
 def solve(
@@ -204,10 +207,11 @@ def solve(
     and the particular field read one at the data rule.  A set outlives
     the solve when the caller holds a scope of its rule open: _rung
     holds one at the data rule for the error rows, which from p = 14 on
-    is also the Gram rule.  Both preconditioners are built before the
-    first factorization, which sets the peak memory; from there on only
-    the embedding is kept of the local data, and the mass Grams are
-    dropped.
+    is also the Gram rule.  Each method's basis, the whitener R or the
+    L2-orthonormal embedding T = E Q, is one stacked array that carries
+    its column layout and clip flag, built before the first
+    factorization, which sets the peak memory; the local data, the raw
+    embedding E and the mass Grams are dropped by then.
 
     f None means no source: the load vector is then the boundary term
     alone and the particular field zero, neither built from volume
@@ -224,8 +228,7 @@ def solve(
         context = f"p={params.p}, h={mesh.max_diameter:.4g}"
     A = assemble_sipdg(mesh, params)
     embedded = "embedded" in methods and params.p >= 2
-    local = u_f = whitener = precond = None
-    whitener_clipped = precond_clipped = False
+    local = u_f = whitener = None
     with _shared_tables(_gram_order(params.p)):
         mass_grams = _element_mass_grams(mesh, params.p)
         if embedded:
@@ -237,36 +240,24 @@ def solve(
             u_f = particular_field(mesh, local, f)
     # the first LU sets the peak memory: nothing dead may be alive there
     if "standard" in methods or params.p < 2:
-        whitener, whitener_clipped = mass_preconditioner(mass_grams)
+        whitener = mass_preconditioner(mass_grams)
     if embedded:
-        precond, precond_clipped = embedding_preconditioner(embedding, mass_grams)
+        embedding = embedding_preconditioner(embedding, mass_grams)
     del local, mass_grams
     out = {}
     broken = None  # the broken-space solution, solved at most once
     for method in methods:
+        method_context = f"{context}, {method}"
         if method == "standard" or params.p < 2:
             if broken is None:
                 broken = _direct_solve(
-                    A,
-                    b,
-                    context=f"{context}, {method}",
-                    bases=[whitener],
-                    sizes=np.full(mesh.n_elements, dim_poly(params.p)),
-                    order=mesh.dissection_order,
-                    clipped=whitener_clipped,
+                    A, b, method_context, whitener, mesh.dissection_order
                 )
             coeffs = broken
             dofs = A.shape[0]
         else:
             coeffs = solve_reduced_system(
-                A,
-                b,
-                embedding,
-                u_f,
-                context=f"{context}, {method}",
-                precond=precond,
-                mesh=mesh,
-                clipped=precond_clipped,
+                A, b, embedding, u_f, method_context, mesh.dissection_order
             )
             dofs = embedding.n_columns
         out[method] = SolutionField(coeffs, params.p, mesh, dofs)

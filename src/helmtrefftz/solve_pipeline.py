@@ -4,16 +4,18 @@ harness.solve runs them in sequence on one assembled system.  The
 embedded method never builds Trefftz shape functions explicitly.
 Per element it computes a particular solution of the local constraint
 via the pseudo-inverse, stacks the orthonormal constraint kernels into a
-block-diagonal embedding E, reduces the global SIPDG system to
-E^T A E y = E^T (b - A u_f), and reconstructs u = E y + u_f.  Without
+block-diagonal embedding E, makes each block L2-orthonormal, which gives
+the basis T with T_k = E_k Q_k, reduces the global SIPDG system to
+T^T A T y = T^T (b - A u_f), and reconstructs u = T y + u_f.  Without
 a source (f None) u_f is zero, returned without building anything, and
 adds nothing to either sum.  The reduced matrix inherits complex
-symmetry from A because E is real.
+symmetry from A because T is real.
 
-Every basis change here (the embedding, and the whitening
-preconditioners that make each element basis L2-orthonormal) is block
-diagonal with one real block per element, kept as a stacked array.  The
-matrix that is factored is therefore the block congruence T_r^T A_rc T_c
+Each solve changes the basis once: to T for the embedded method, to the
+mass whitener R for the standard one.  Either is block diagonal with one
+real block per element, kept as a stacked array in a GlobalEmbedding
+with its column layout and whether its whitening clipped.  The matrix
+that is factored is therefore the block congruence T_r^T A_rc T_c
 over the nonzero element-pair blocks A_rc of A.  A arrives from
 dg_assembly as a BSR matrix of exactly those blocks, so
 _block_congruence reads them in place, a tile at a time, with no copy
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,16 +109,18 @@ class SingularSystemError(RuntimeError):
 
 @dataclass
 class GlobalEmbedding:
-    """Block-diagonal map from stacked Trefftz coefficients to V_h.
+    """Block-diagonal real basis change from stacked element coefficients.
 
-    Real with orthonormal columns; column_offsets[k] is the first Trefftz
-    column of element k (length n_elements + 1), and
-    blocks[k, :, :kernel dimension of k] is element k's diagonal block
-    (zero beyond it).
+    column_offsets[k] is the first column of element k (length
+    n_elements + 1), and blocks[k, :, :columns of element k] is element
+    k's diagonal block (zero beyond it).  clipped records whether the
+    whitening that made the blocks raised an eigenvalue to its floor (see
+    mass_preconditioner).
     """
 
     column_offsets: np.ndarray
     blocks: np.ndarray
+    clipped: bool = False
 
     @property
     def n_columns(self) -> int:
@@ -138,7 +142,7 @@ class SolutionField:
 
 
 def build_global_embedding(local: LocalTrefftzData) -> GlobalEmbedding:
-    """Stack the element kernel bases into the block-diagonal embedding."""
+    """Stack the orthonormal element kernel bases into the embedding E."""
     if not len(local):
         raise ValueError("no local data supplied")
     return GlobalEmbedding(
@@ -172,13 +176,13 @@ def particular_field(
     return coeffs.astype(complex).ravel()
 
 
-def mass_preconditioner(mass_grams: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Blocks of the basis change making each element basis L2-orthonormal.
+def mass_preconditioner(mass_grams: np.ndarray) -> GlobalEmbedding:
+    """The basis change making each element basis L2-orthonormal.
 
     Takes the element mass Grams (E, n, n) and returns the stacked
     whiteners R (E, n, n) with R^T G R ~ I, from an eigendecomposition,
-    and whether any eigenvalue was clipped (see below).  Scaled monomials
-    are increasingly ill-conditioned with p; solving in the
+    and records whether any eigenvalue was clipped (see below).  Scaled
+    monomials are increasingly ill-conditioned with p; solving in the
     orthonormalized coordinates keeps the factorization accuracy and the
     reciprocal-condition diagnostic tied to the operator rather than to
     the basis.  Solutions are mapped back to monomial coefficients.
@@ -193,28 +197,30 @@ def mass_preconditioner(mass_grams: np.ndarray) -> tuple[np.ndarray, bool]:
     floor = 1e-14 * np.maximum(lam[..., -1:], np.finfo(float).tiny)
     clipped = bool((lam < floor).any())
     lam = np.maximum(lam, floor)
-    return q * (1.0 / np.sqrt(lam))[..., None, :], clipped
+    whiteners = q * (1.0 / np.sqrt(lam))[..., None, :]
+    n = mass_grams.shape[-1]
+    return GlobalEmbedding(n * np.arange(len(mass_grams) + 1), whiteners, clipped)
 
 
 def embedding_preconditioner(
     embedding: GlobalEmbedding, mass_grams: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Orthonormalizer of the Trefftz basis in the element L2 inner products.
+) -> GlobalEmbedding:
+    """The Trefftz basis made orthonormal in the element L2 inner products.
 
-    Returns stacked blocks (E, d, d), d the largest kernel dimension, and
-    whether mass_preconditioner clipped an eigenvalue of any block;
-    block k is zero beyond element k's kernel dimension.
+    Block k is E_k Q_k, E_k the embedding's block and Q_k the whitener of
+    its mass Gram E_k^T G_k E_k (mass_preconditioner), formed with einsum
+    so that its bits do not follow the BLAS thread count.  The result
+    keeps the embedding's column_offsets and records whether any
+    whitening clipped an eigenvalue.
     """
-    dims = np.diff(embedding.column_offsets)
-    blocks = np.zeros((len(dims), dims.max(), dims.max()))
+    blocks = np.zeros_like(embedding.blocks)
     clipped = False
-    for dim, idx in _index_groups(dims):
+    for dim, idx in _index_groups(np.diff(embedding.column_offsets)):
         ek = embedding.blocks[idx, :, :dim]
-        blocks[idx, :dim, :dim], group_clipped = mass_preconditioner(
-            ek.swapaxes(-1, -2) @ mass_grams[idx] @ ek
-        )
-        clipped |= group_clipped
-    return blocks, clipped
+        whitener = mass_preconditioner(ek.swapaxes(-1, -2) @ mass_grams[idx] @ ek)
+        blocks[idx, :, :dim] = np.einsum("kij,kjl->kil", ek, whitener.blocks)
+        clipped |= whitener.clipped
+    return GlobalEmbedding(embedding.column_offsets, blocks, clipped)
 
 
 def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
@@ -228,29 +234,28 @@ _CONGRUENCE_TILE = 1 << 16  # entries of each stage temporary of one tile
 
 
 def _block_congruence(
-    A: sp.spmatrix, bases: Sequence[np.ndarray], sizes: np.ndarray, order: np.ndarray
+    A: sp.spmatrix, basis: GlobalEmbedding, order: np.ndarray
 ) -> sp.csc_matrix:
-    """T^T A T for the block-diagonal T = bases[0] bases[1] ..., as CSC.
+    """T^T A T for the block-diagonal basis T, as CSC.
 
-    A consists of n x n element-pair blocks, n = A.shape[0] / len(sizes);
-    each basis is stacked real blocks (E, rows, columns), zero-padded, and
-    sizes[k] is the number of columns of element k after the last one.
+    A consists of n x n element-pair blocks, n = basis.blocks.shape[1];
+    element k has sizes[k] columns in T, read from basis.column_offsets.
     Element order[i] owns the i-th block row and column of the result, so
     order = arange(E) gives T^T A T itself and the mesh's dissection order
     gives it permuted to that order.
 
     A's nonzero blocks stream through in tiles of at most _CONGRUENCE_TILE
-    entries per stage temporary.  The stages run in order, each as
-    (T_r^T (A_rc T_c)) on every block of the tile, with the real and
-    imaginary parts apart (the imaginary part only on the blocks that
-    have one, the diagonal blocks of boundary elements); einsum with the
-    summed index outside its inner loop adds the terms of every entry in
-    index order, so the values equal those of the sparse product
-    T^T (A T).  Each tile is written straight to its place in CSC arrays
-    allocated once, with the row indices sorted within each column and
-    exact zeros dropped.
+    entries per temporary.  Each block is formed as T_r^T (A_rc T_c),
+    with the real and imaginary parts apart (the imaginary part only on
+    the blocks that have one, the diagonal blocks of boundary elements);
+    einsum with the summed index outside its inner loop adds the terms of
+    every entry in index order, so the values equal those of the sparse
+    product T^T (A T).  Each tile is written straight to its place in CSC
+    arrays allocated once, with the row indices sorted within each column
+    and exact zeros dropped.
     """
-    n = A.shape[0] // len(sizes)
+    sizes = np.diff(basis.column_offsets)
+    n = basis.blocks.shape[1]
     bsr = A.tobsr(blocksize=(n, n))  # A itself when assembled as BSR
     rows = np.repeat(np.arange(len(sizes)), np.diff(bsr.indptr))
     cols = bsr.indices
@@ -272,14 +277,13 @@ def _block_congruence(
     index_dtype = np.int32 if indptr[-1] < np.iinfo(np.int32).max else np.int64
     data = np.empty(indptr[-1], dtype=complex)
     indices = np.empty(indptr[-1], dtype=index_dtype)
-    transposed = [np.ascontiguousarray(T.swapaxes(1, 2)) for T in bases]
+    T = basis.blocks
+    T_t = np.ascontiguousarray(T.swapaxes(1, 2))
 
     def congruence(D, r, c):
-        for T, T_t in zip(bases, transposed):
-            D = np.einsum("bij,bjk->bik", T_t[r], np.einsum("bij,bjk->bik", D, T[c]))
-        return D
+        return np.einsum("bij,bjk->bik", T_t[r], np.einsum("bij,bjk->bik", D, T[c]))
 
-    idx = np.arange(bases[-1].shape[2])
+    idx = np.arange(T.shape[2])
     step = max(1, _CONGRUENCE_TILE // (n * n))
     for t in range(0, len(cols), step):
         r, c = rows[t : t + step], cols[t : t + step]
@@ -315,24 +319,21 @@ def _transposed_products(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
     )
 
 
-def _basis_transpose_apply(
-    bases: list[np.ndarray], v: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
+def _basis_transpose_apply(basis: GlobalEmbedding, v: np.ndarray) -> np.ndarray:
     """T^T v for T as in _block_congruence; bitwise the sparse product."""
+    sizes = np.diff(basis.column_offsets)
     v = np.asarray(v, dtype=complex).reshape(len(sizes), -1)
-    for T in bases:
-        v = _transposed_products(T, v)
+    v = _transposed_products(basis.blocks, v)
     return v[np.arange(v.shape[1]) < sizes[:, None]]
 
 
-def _basis_apply(bases: list[np.ndarray], y: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _basis_apply(basis: GlobalEmbedding, y: np.ndarray) -> np.ndarray:
     """T y for T as in _block_congruence; bitwise the sparse product."""
-    width = bases[-1].shape[2]
-    v = np.zeros((len(sizes), width), dtype=complex)
-    v[np.arange(width) < sizes[:, None]] = y
-    for T in reversed(bases):
-        v = _transposed_products(np.ascontiguousarray(T.swapaxes(1, 2)), v)
-    return v.ravel()
+    sizes = np.diff(basis.column_offsets)
+    v = np.zeros((len(sizes), basis.blocks.shape[2]), dtype=complex)
+    v[np.arange(v.shape[1]) < sizes[:, None]] = y
+    T_t = np.ascontiguousarray(basis.blocks.swapaxes(1, 2))
+    return _transposed_products(T_t, v).ravel()
 
 
 def _largest_ritz_value(apply: Callable, v: np.ndarray) -> float:
@@ -448,27 +449,20 @@ def _factored_solve(
 
 
 def _direct_solve(
-    A: sp.spmatrix,
-    b: np.ndarray,
-    context: str,
-    bases: Sequence[np.ndarray],
-    sizes: np.ndarray,
-    order: np.ndarray,
-    clipped: bool = False,
+    A: sp.spmatrix, b: np.ndarray, context: str, basis: GlobalEmbedding, order: np.ndarray
 ) -> np.ndarray:
     """Sparse direct solve guarded by a reciprocal condition estimate.
 
     Solves T^T A T y = T^T b and returns T y, for the block-diagonal basis
-    change T = bases[0] bases[1] ... over A's element blocks (see
-    _block_congruence, mass_preconditioner, embedding_preconditioner);
-    sizes[k] is the number of columns of element k.
+    change T = basis over A's element blocks (see _block_congruence,
+    mass_preconditioner, embedding_preconditioner).
 
     T^T A T is streamed in the element order given (the mesh's dissection
     order) and solved by _factored_solve in up to three attempts, each
     taken when the one before fails to factor, trips its rcond bound or
     leaves a backward error above REFINED_BACKWARD_ERROR: the matrix as
     it is, with diagonal pivots, in complex64 (bound
-    SINGLE_PRECISION_RCOND), skipped when clipped says that the
+    SINGLE_PRECISION_RCOND), skipped when basis.clipped says that the
     whitening of T clipped an eigenvalue, which leaves the basis at the
     limit of double precision; the same in complex128 (bound
     RCOND_THRESHOLD); and, as the last resort, SuperLU's COLAMD column
@@ -476,16 +470,16 @@ def _direct_solve(
     raises SingularSystemError, and its solution is kept whatever its
     backward error.
     """
-    ordering = _block_ordering(order, sizes)
-    M = _block_congruence(A, bases, sizes, order)
-    rhs = _basis_transpose_apply(bases, b, sizes)[ordering]
+    ordering = _block_ordering(order, np.diff(basis.column_offsets))
+    M = _block_congruence(A, basis, order)
+    rhs = _basis_transpose_apply(basis, b)[ordering]
     sigma_max = _estimate_sigma_max(M, ordering)
     attempts = [
         (np.complex64, SINGLE_PRECISION_RCOND, _DISSECTION_OPTIONS),
         (complex, RCOND_THRESHOLD, _DISSECTION_OPTIONS),
         (complex, RCOND_THRESHOLD, {}),
     ]
-    for dtype, bound, options in attempts[clipped:]:
+    for dtype, bound, options in attempts[basis.clipped:]:
         y, failure = None, None
         try:
             y, sigma_min, backward = _factored_solve(
@@ -509,7 +503,7 @@ def _direct_solve(
         )
     x = np.empty_like(y)
     x[ordering] = y
-    return _basis_apply(bases, x, sizes)
+    return _basis_apply(basis, x)
 
 
 def solve_reduced_system(
@@ -518,25 +512,14 @@ def solve_reduced_system(
     embedding: GlobalEmbedding,
     u_particular: np.ndarray,
     context: str,
-    precond: np.ndarray,
-    mesh: Mesh,
-    clipped: bool = False,
+    order: np.ndarray,
 ) -> np.ndarray:
-    """Solve E^T A E y = E^T (b - A u_f) and return E y + u_f.
+    """Solve T^T A T y = T^T (b - A u_f) and return T y + u_f.
 
-    precond (see embedding_preconditioner) changes the Trefftz basis of
-    each element once more, to Q: the matrix factored is Q^T (E^T A E) Q,
-    in the mesh's nested-dissection order, and in complex128 only when
-    clipped says that precond clipped an eigenvalue (see _direct_solve).
+    T is the L2-orthonormal embedding of embedding_preconditioner.  The
+    matrix is factored in the element order given (the mesh's dissection
+    order), and in complex128 only when the embedding's whitening clipped
+    an eigenvalue (see _direct_solve).
     """
-    dims = np.diff(embedding.column_offsets)
-    u_trefftz = _direct_solve(
-        A,
-        b - A @ u_particular,
-        context,
-        [embedding.blocks, precond],
-        dims,
-        mesh.dissection_order,
-        clipped,
-    )
+    u_trefftz = _direct_solve(A, b - A @ u_particular, context, embedding, order)
     return u_trefftz + u_particular

@@ -174,22 +174,22 @@ def reference_assemble_sipdg(mesh, params):
     return A.tocsr()
 
 
-def reference_block_congruence(A, bases, sizes):
-    """T^T A T in the natural element order, from all of A's element blocks
-    at once and a COO scatter: the reference for the streamed, ordered
+def reference_block_congruence(A, basis):
+    """T^T A T in the natural element order, for the block-diagonal T =
+    basis (a GlobalEmbedding), from all of A's element blocks at once and
+    a COO scatter: the reference for the streamed, ordered
     solve_pipeline._block_congruence."""
-    n = bases[0].shape[1]
+    sizes = np.diff(basis.column_offsets)
+    n = basis.blocks.shape[1]
     bsr = A.tobsr(blocksize=(n, n))
     rows = np.repeat(np.arange(len(bsr.indptr) - 1), np.diff(bsr.indptr))
     cols = bsr.indices
-    parts = [np.ascontiguousarray(bsr.data.real), np.ascontiguousarray(bsr.data.imag)]
-    for T in bases:
-        left = np.ascontiguousarray(T.swapaxes(1, 2))[rows]
-        right = T[cols]
-        parts = [
-            np.einsum("bij,bjk->bik", left, np.einsum("bij,bjk->bik", D, right))
-            for D in parts
-        ]
+    left = np.ascontiguousarray(basis.blocks.swapaxes(1, 2))[rows]
+    right = basis.blocks[cols]
+    parts = [
+        np.einsum("bij,bjk->bik", left, np.einsum("bij,bjk->bik", D, right))
+        for D in map(np.ascontiguousarray, (bsr.data.real, bsr.data.imag))
+    ]
     idx = np.arange(parts[0].shape[1])
     keep = (idx[:, None] < sizes[rows, None, None]) & (idx < sizes[cols, None, None])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -202,24 +202,14 @@ def reference_block_congruence(A, bases, sizes):
     return M
 
 
-def _basis_matrix(bases, sizes):
-    """The block-diagonal T = bases[0] bases[1] ... as a sparse matrix:
-    element k has bases[0].shape[1] rows and sizes[k] columns in T, and
-    sizes[k] rows and columns in each later basis."""
-    rows = np.full(len(sizes), bases[0].shape[1])
-    T = block_diag_matrix(bases[0], rows, sizes)
-    for blocks in bases[1:]:
-        T = T @ block_diag_matrix(blocks, sizes, sizes)
-    return T
-
-
-def reference_colamd_solve(A, b, bases, sizes):
-    """T y for T^T A T y = T^T b in the natural element order, factored
-    by SuperLU with its COLAMD order and partial pivoting: the reference
-    for the dissection-order solve of solve_pipeline._direct_solve."""
-    M = reference_block_congruence(A, bases, sizes)
+def reference_colamd_solve(A, b, basis):
+    """T y for T^T A T y = T^T b in the natural element order, T = basis,
+    factored by SuperLU with its COLAMD order and partial pivoting: the
+    reference for the dissection-order solve of
+    solve_pipeline._direct_solve."""
+    M = reference_block_congruence(A, basis)
     M.sort_indices()
-    T = _basis_matrix(bases, sizes)
+    T = embedding_matrix(basis)
     return T @ spla.splu(M).solve(T.T @ np.asarray(b, dtype=complex))
 
 
@@ -363,7 +353,7 @@ def block_diag_matrix(blocks, n_rows, n_cols):
 
 
 def embedding_matrix(embedding):
-    """The embedding E as a sparse matrix, dim P^p rows per element."""
+    """A GlobalEmbedding as a sparse matrix, dim P^p rows per element."""
     dims = np.diff(embedding.column_offsets)
     rows = np.full(len(dims), embedding.blocks.shape[1])
     return block_diag_matrix(embedding.blocks, rows, dims)

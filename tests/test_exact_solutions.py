@@ -59,6 +59,19 @@ def test_hankel_rejects_interior_source_point():
         hankel_case(10.0, source_point=(0.5, 0.5))
 
 
+@pytest.mark.parametrize(
+    "point",
+    [(float("nan"), 0.0), (-0.25, float("inf")), (-0.25, 0.0, 0.0), (-0.25,), -0.25,
+     (-0.25j, 0.0), ("-0.25", "0"), (True, False), ((-0.25, 0.0), 0.0)],
+)
+def test_hankel_rejects_a_source_point_that_is_not_two_finite_reals(point):
+    # NaN used to surface only as non-finite boundary data, and a
+    # 3-component point broke at evaluation
+    message = rf"source_point .*got {re.escape(repr(point))}"
+    with pytest.raises(ValueError, match=message):
+        hankel_case(10.0, source_point=point)
+
+
 def test_hankel_rejects_evaluation_at_source():
     case = hankel_case(10.0)
     with pytest.raises(ValueError):

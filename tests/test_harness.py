@@ -411,6 +411,35 @@ def test_cli_solver_failure_names_the_rung_once(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_cli_refuses_an_unwritable_out_before_solving(
+    where, tmp_path, capsys, monkeypatch
+):
+    # a missing directory used to run the whole sweep, then end in a
+    # FileNotFoundError traceback
+    rungs = []
+    monkeypatch.setattr(harness, "_rung", lambda *args: rungs.append(args) or [])
+    out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    argv = ["run", "--experiment", "sinsin", "--p", "2", "--out", str(out)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: out must name a file") and str(out) in err
+    assert "Traceback" not in err
+    assert rungs == []
+
+
+def test_cli_reports_a_failed_write(tmp_path, capsys, monkeypatch):
+    def refuse(reports, path):
+        raise PermissionError(f"cannot write {path}")
+
+    monkeypatch.setattr(harness, "emit_csv", refuse)
+    out = tmp_path / "x.csv"
+    argv = ["run", "--experiment", "hankel", "--p", "3", "--levels", "1"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}\n"
+
+
 def test_cli_missing_file(capsys):
     assert main(["summarize", "--in", "/nonexistent/file.csv"]) == 1
 
@@ -553,7 +582,8 @@ def test_rung_rows_bitwise_those_of_solve_and_the_norms(case, mesh):
 @pytest.mark.parametrize("p", [3, 6])
 def test_nothing_dead_alive_at_the_first_factorization(p, methods, monkeypatch):
     # the first LU sets the peak memory: by then solve has built both
-    # preconditioners and dropped the local data and the mass Grams
+    # bases and dropped the local data, the raw kernel embedding and the
+    # mass Grams
     refs = {}
 
     def keep(name):
@@ -568,6 +598,7 @@ def test_nothing_dead_alive_at_the_first_factorization(p, methods, monkeypatch):
 
     keep("all_local_trefftz")
     keep("_element_mass_grams")
+    keep("build_global_embedding")
     alive = []
     splu = spla.splu
 
@@ -579,7 +610,11 @@ def test_nothing_dead_alive_at_the_first_factorization(p, methods, monkeypatch):
     case = sinsin_case(1.0)
     params = FormParameters(omega=case.omega, p=p)
     solve(build_unit_square_mesh(2), params, case.f, case.g, methods)
-    assert alive[0] == {"all_local_trefftz": False, "_element_mass_grams": False}
+    assert alive[0] == {
+        "all_local_trefftz": False,
+        "_element_mass_grams": False,
+        "build_global_embedding": False,
+    }
 
 
 def test_run_experiment_leaves_nothing_shared(hankel_reports):

@@ -1,6 +1,7 @@
 import runpy
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from helmtrefftz.local_trefftz import (
 from helmtrefftz.mesh import build_unit_disk_mesh, build_unit_square_mesh
 from helmtrefftz.polyspace import _element_mass_grams, dim_poly
 from helmtrefftz.solve_pipeline import (
+    GlobalEmbedding,
     SingularSystemError,
     _basis_apply,
     _basis_transpose_apply,
@@ -41,7 +43,6 @@ from helmtrefftz.solve_pipeline import (
     solve_reduced_system,
 )
 from helpers import (
-    block_diag_matrix,
     embedding_matrix,
     polynomial_problem,
     project,
@@ -152,15 +153,17 @@ def test_gauge_freedom_of_particular_solution():
     u_f = particular_field(mesh, local, f_cb)
     A = assemble_sipdg(mesh, params)
     b = assemble_rhs(mesh, params, f_cb, g_cb)
-    precond, _ = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
-    base = solve_reduced_system(A, b, emb, u_f, "test", precond, mesh)
+    basis = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
+    base = solve_reduced_system(A, b, basis, u_f, "test", mesh.dissection_order)
     rng = np.random.default_rng(17)
     for _ in range(3):
         shift = embedding_matrix(emb) @ (
             rng.standard_normal(emb.n_columns)
             + 1j * rng.standard_normal(emb.n_columns)
         )
-        moved = solve_reduced_system(A, b, emb, u_f + shift, "test", precond, mesh)
+        moved = solve_reduced_system(
+            A, b, basis, u_f + shift, "test", mesh.dissection_order
+        )
         assert np.linalg.norm(moved - base) <= 1e-9 * np.linalg.norm(base)
 
 
@@ -182,8 +185,9 @@ def test_particular_field_merges_residual_warnings(monkeypatch):
 
 @pytest.mark.parametrize("zeroed", [[], [3]], ids=["uniform", "ragged"])
 def test_embedding_preconditioner_orthonormalizes(zeroed, monkeypatch):
-    # E P has L2-orthonormal columns on every element, also when one
-    # element (3, with a zero constraint) has more kernel columns
+    # T = E Q has L2-orthonormal columns on every element, also when one
+    # element (3, with a zero constraint) has more kernel columns, and
+    # spans the kernels in E's column layout
     mesh = build_unit_square_mesh(2)
     p = 3
     zero_constraints(monkeypatch, elements=zeroed)
@@ -191,17 +195,18 @@ def test_embedding_preconditioner_orthonormalizes(zeroed, monkeypatch):
         warnings.simplefilter("ignore", KernelDimensionWarning)
         emb = build_global_embedding(all_local_trefftz(mesh, p, 2.0))
     grams = _element_mass_grams(mesh, p)
-    dims = np.diff(emb.column_offsets)
-    Q = block_diag_matrix(embedding_preconditioner(emb, grams)[0], dims, dims)
-    T = embedding_matrix(emb) @ Q
+    basis = embedding_preconditioner(emb, grams)
+    assert np.array_equal(basis.column_offsets, emb.column_offsets)
+    assert not basis.clipped
+    T, E = embedding_matrix(basis), embedding_matrix(emb)
     gram = (T.T @ sp.block_diag(list(grams)) @ T).toarray()
     assert np.abs(gram - np.eye(emb.n_columns)).max() <= 1e-10
+    assert np.abs((E @ (E.T @ T) - T).toarray()).max() <= 1e-10
 
 
 def _standard_case(mesh, p, omega):
     A = assemble_sipdg(mesh, FormParameters(omega=omega, p=p))
-    sizes = np.full(mesh.n_elements, dim_poly(p))
-    return A, [mass_preconditioner(_element_mass_grams(mesh, p))[0]], sizes
+    return A, mass_preconditioner(_element_mass_grams(mesh, p))
 
 
 def _embedded_case(mesh, p, omega):
@@ -209,22 +214,19 @@ def _embedded_case(mesh, p, omega):
         warnings.simplefilter("ignore", KernelDimensionWarning)
         emb = build_global_embedding(all_local_trefftz(mesh, p, omega))
     A = assemble_sipdg(mesh, FormParameters(omega=omega, p=p))
-    Q, _ = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
-    return A, [emb.blocks, Q], np.diff(emb.column_offsets)
+    return A, embedding_preconditioner(emb, _element_mass_grams(mesh, p))
 
 
-def _assert_bitwise_sparse_products(A, bases, sizes, sparse_bases):
+def _assert_bitwise_sparse_products(A, basis):
     """The block congruence and basis maps against the sparse products.
 
-    The reference is what the solver computed before: T^T (A T) per basis
-    with CSR matrices, converted to the CSC that SuperLU reads.
+    The reference is what the solver computed before: T^T (A T) with CSR
+    matrices, converted to the CSC that SuperLU reads.
     """
-    reference = A
-    for T in sparse_bases:
-        reference = T.T @ (reference @ T)
-    reference = sp.csc_matrix(reference, dtype=complex)
+    T = embedding_matrix(basis)
+    reference = sp.csc_matrix(T.T @ (A @ T), dtype=complex)
     reference.sort_indices()
-    M = _block_congruence(A, bases, sizes, np.arange(len(sizes)))
+    M = _block_congruence(A, basis, np.arange(len(basis.column_offsets) - 1))
     assert M.has_sorted_indices
     assert np.array_equal(M.indptr, reference.indptr)
     assert np.array_equal(M.indices, reference.indices)
@@ -233,13 +235,8 @@ def _assert_bitwise_sparse_products(A, bases, sizes, sparse_bases):
     rng = np.random.default_rng(3)
     b = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
     y = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
-    b_ref, x_ref = b, y
-    for T in sparse_bases:
-        b_ref = T.T @ b_ref
-    for T in reversed(sparse_bases):
-        x_ref = T @ x_ref
-    assert np.array_equal(_basis_transpose_apply(bases, b, sizes), b_ref)
-    assert np.array_equal(_basis_apply(bases, y, sizes), x_ref)
+    assert np.array_equal(_basis_transpose_apply(basis, b), T.T @ b)
+    assert np.array_equal(_basis_apply(basis, y), T @ y)
 
 
 @pytest.mark.parametrize(
@@ -248,37 +245,28 @@ def _assert_bitwise_sparse_products(A, bases, sizes, sparse_bases):
     ids=["disk-p3", "square-p12"],
 )
 def test_block_congruence_bitwise_standard(mesh, p, omega):
-    # P^T A P of the standard solve, P the mass whiteners
-    A, bases, sizes = _standard_case(mesh, p, omega)
-    P = block_diag_matrix(bases[0], sizes, sizes)
-    _assert_bitwise_sparse_products(A, bases, sizes, [P])
+    # R^T A R of the standard solve, R the mass whiteners
+    _assert_bitwise_sparse_products(*_standard_case(mesh, p, omega))
 
 
 @pytest.mark.parametrize("p", [4, 8])
 def test_block_congruence_bitwise_embedded(p, monkeypatch):
-    # Q^T (E^T A E) Q of the embedded solve, with a ragged kernel dimension
-    # on element 3 (zero constraint)
-    mesh = build_unit_square_mesh(2)
+    # T^T A T of the embedded solve, T = E Q, with a ragged kernel
+    # dimension on element 3 (zero constraint)
     zero_constraints(monkeypatch, elements=[3])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", KernelDimensionWarning)
-        emb = build_global_embedding(all_local_trefftz(mesh, p, 2.0))
-    dims = np.diff(emb.column_offsets)
-    assert len(set(dims)) == 2
-    A = assemble_sipdg(mesh, FormParameters(omega=2.0, p=p))
-    Q, _ = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
-    sparse = [embedding_matrix(emb), block_diag_matrix(Q, dims, dims)]
-    _assert_bitwise_sparse_products(A, [emb.blocks, Q], dims, sparse)
+    A, basis = _embedded_case(build_unit_square_mesh(2), p, 2.0)
+    assert len(set(np.diff(basis.column_offsets))) == 2
+    _assert_bitwise_sparse_products(A, basis)
 
 
-def _assert_ordered_congruence(A, bases, sizes, order):
+def _assert_ordered_congruence(A, basis, order):
     """The streamed congruence in element order against the former route:
     the natural congruence, permuted to that order, indices sorted."""
-    ordering = _block_ordering(order, sizes)
-    reference = reference_block_congruence(A, bases, sizes)
+    ordering = _block_ordering(order, np.diff(basis.column_offsets))
+    reference = reference_block_congruence(A, basis)
     expected = sp.csc_matrix(reference[ordering][:, ordering])
     expected.sort_indices()
-    M = _block_congruence(A, bases, sizes, order)
+    M = _block_congruence(A, basis, order)
     assert M.has_sorted_indices
     assert np.array_equal(M.indptr, expected.indptr)
     assert np.array_equal(M.indices, expected.indices)
@@ -296,36 +284,36 @@ def test_ordered_block_congruence_bitwise(case, tile, monkeypatch):
     # permuted to the mesh's dissection order, entry for entry
     if case == "disk-p3":
         mesh = build_unit_disk_mesh(3)
-        A, bases, sizes = _standard_case(mesh, 3, 20.0)
+        A, basis = _standard_case(mesh, 3, 20.0)
     elif case == "square-p12":
         mesh = build_unit_square_mesh(4)
-        A, bases, sizes = _standard_case(mesh, 12, 1.0)
+        A, basis = _standard_case(mesh, 12, 1.0)
     elif case == "shuffled-disk":
         mesh = shuffled_jittered_disk(3, seed=7)
-        A, bases, sizes = _standard_case(mesh, 3, 20.0)
+        A, basis = _standard_case(mesh, 3, 20.0)
     else:
         mesh = build_unit_square_mesh(2)
         zero_constraints(monkeypatch, elements=[3])
-        A, bases, sizes = _embedded_case(mesh, int(case[-1]), 2.0)
-        assert len(set(sizes)) == 2
-    n = bases[0].shape[1]
+        A, basis = _embedded_case(mesh, int(case[-1]), 2.0)
+        assert len(set(np.diff(basis.column_offsets))) == 2
+    n = basis.blocks.shape[1]
     n_blocks = A.tobsr(blocksize=(n, n)).nnz // (n * n)
     if tile == "one-block":
         monkeypatch.setattr(solve_pipeline, "_CONGRUENCE_TILE", 1)
     elif tile == "uneven":
         per_tile = next(k for k in range(2, n_blocks) if n_blocks % k)
         monkeypatch.setattr(solve_pipeline, "_CONGRUENCE_TILE", per_tile * n * n)
-    _assert_ordered_congruence(A, bases, sizes, mesh.dissection_order)
+    _assert_ordered_congruence(A, basis, mesh.dissection_order)
 
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**16), p=st.integers(2, 4))
 def test_ordered_reduced_matrix_on_shuffled_disks(seed, p):
-    # on perturbed, relabelled meshes the ordered Q^T (E^T A E) Q is the
-    # permuted natural one and complex symmetric
+    # on perturbed, relabelled meshes the ordered T^T A T is the permuted
+    # natural one and complex symmetric
     mesh = shuffled_jittered_disk(2, seed=seed)
-    A, bases, sizes = _embedded_case(mesh, p, 3.0)
-    M = _assert_ordered_congruence(A, bases, sizes, mesh.dissection_order)
+    A, basis = _embedded_case(mesh, p, 3.0)
+    M = _assert_ordered_congruence(A, basis, mesh.dissection_order)
     assert spla.norm(M - M.T) <= 1e-12 * spla.norm(M)
 
 
@@ -369,11 +357,11 @@ def test_lanczos_stops_on_an_invariant_krylov_space():
     assert np.isnan(ritz(lambda v: np.full_like(v, np.nan), v))
 
 
-def _congruence_peak_ratio(A, bases, sizes, order):
+def _congruence_peak_ratio(A, basis, order):
     """tracemalloc peak of _block_congruence over the bytes of its result."""
     tracemalloc.start()
     try:
-        M = _block_congruence(A, bases, sizes, order)
+        M = _block_congruence(A, basis, order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -385,17 +373,17 @@ def test_block_congruence_memory():
     # once (the one-shot congruence held 4.6 times), even when it must
     # first copy a CSR matrix into blocks
     mesh = build_unit_square_mesh(4)
-    A, bases, sizes = _standard_case(mesh, 12, 1.0)
-    ratio = _congruence_peak_ratio(A.tocsr(), bases, sizes, mesh.dissection_order)
+    A, basis = _standard_case(mesh, 12, 1.0)
+    ratio = _congruence_peak_ratio(A.tocsr(), basis, mesh.dissection_order)
     assert ratio <= 3
 
 
 def test_block_congruence_memory_on_assembled_blocks():
     # the assembled BSR matrix is read in place: no copy of A
     mesh = build_unit_square_mesh(4)
-    A, bases, sizes = _standard_case(mesh, 12, 1.0)
+    A, basis = _standard_case(mesh, 12, 1.0)
     assert A.format == "bsr"
-    assert _congruence_peak_ratio(A, bases, sizes, mesh.dissection_order) <= 1.5
+    assert _congruence_peak_ratio(A, basis, mesh.dissection_order) <= 1.5
 
 
 @pytest.mark.parametrize(
@@ -497,9 +485,9 @@ def test_solve_refuses_repeated_methods_as_run_config_does():
 
 
 def _scalar_blocks(size):
-    """Bases, sizes and order that make every dof an element of its own,
-    with T = I."""
-    return [np.ones((size, 1, 1))], np.ones(size, dtype=int), np.arange(size)
+    """Basis and order that make every dof an element of its own, with
+    T = I."""
+    return GlobalEmbedding(np.arange(size + 1), np.ones((size, 1, 1))), np.arange(size)
 
 
 def test_singular_matrix_reported():
@@ -552,19 +540,19 @@ def test_dissection_ordering_matches_colamd(method, splu_calls):
     params = FormParameters(omega=omega, p=p)
     A = assemble_sipdg(mesh, params)
     b = assemble_rhs(mesh, params, case.f, case.g)
+    order = mesh.dissection_order
     if method == "standard":
-        bases = [mass_preconditioner(_element_mass_grams(mesh, p))[0]]
-        sizes = np.full(mesh.n_elements, dim_poly(p))
-        ordered = _direct_solve(A, b, "test", bases, sizes, mesh.dissection_order)
-        reference = reference_colamd_solve(A, b, bases, sizes)
+        basis = mass_preconditioner(_element_mass_grams(mesh, p))
+        ordered = _direct_solve(A, b, "test", basis, order)
+        reference = reference_colamd_solve(A, b, basis)
     else:
         local = all_local_trefftz(mesh, p, omega)
-        emb = build_global_embedding(local)
         u_f = particular_field(mesh, local, case.f)
-        precond, _ = embedding_preconditioner(emb, _element_mass_grams(mesh, p))
-        ordered = solve_reduced_system(A, b, emb, u_f, "test", precond, mesh)
-        bases, dims = [emb.blocks, precond], np.diff(emb.column_offsets)
-        reference = reference_colamd_solve(A, b - A @ u_f, bases, dims) + u_f
+        basis = embedding_preconditioner(
+            build_global_embedding(local), _element_mass_grams(mesh, p)
+        )
+        ordered = solve_reduced_system(A, b, basis, u_f, "test", order)
+        reference = reference_colamd_solve(A, b - A @ u_f, basis) + u_f
     assert np.linalg.norm(ordered - reference) <= 1e-10 * np.linalg.norm(reference)
     (nd, nd_dtype, nd_fill, _), (colamd, _, colamd_fill, _) = splu_calls
     assert (nd, nd_dtype, colamd) == ("NATURAL", np.complex64, "COLAMD")
@@ -584,11 +572,11 @@ def test_fallback_refactors_the_dissection_order_matrix(
     p, omega = 3, 20.0
     case = plane_wave_case(omega)
     if method == "standard":
-        A, bases, sizes = _standard_case(mesh, p, omega)
+        A, basis = _standard_case(mesh, p, omega)
     else:
-        A, bases, sizes = _embedded_case(mesh, p, omega)
+        A, basis = _embedded_case(mesh, p, omega)
     b = assemble_rhs(mesh, FormParameters(omega=omega, p=p), case.f, case.g)
-    x = _direct_solve(A, b, "test", bases, sizes, mesh.dissection_order)
+    x = _direct_solve(A, b, "test", basis, mesh.dissection_order)
     assert [call[:2] for call in splu_calls] == [
         ("NATURAL", np.complex64),
         ("NATURAL", np.complex128),
@@ -600,7 +588,7 @@ def test_fallback_refactors_the_dissection_order_matrix(
         assert np.array_equal(other.indices, first.indices)
     assert np.array_equal(single.data, first.data.astype(np.complex64))
     assert np.array_equal(second.data.view(np.int64), first.data.view(np.int64))
-    reference = reference_colamd_solve(A, b, bases, sizes)
+    reference = reference_colamd_solve(A, b, basis)
     assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
 
 
@@ -630,17 +618,17 @@ def _unclipped_rung():
     the disk of 3 rings at p=3, omega=20."""
     mesh = build_unit_disk_mesh(3)
     p, omega = 3, 20.0
-    assert not mass_preconditioner(_element_mass_grams(mesh, p))[1]
     case = plane_wave_case(omega)
-    A, bases, sizes = _standard_case(mesh, p, omega)
+    A, basis = _standard_case(mesh, p, omega)
+    assert not basis.clipped
     b = assemble_rhs(mesh, FormParameters(omega=omega, p=p), case.f, case.g)
-    return A, b, bases, sizes, mesh.dissection_order
+    return A, b, basis, mesh.dissection_order
 
 
 def test_unclipped_rung_factors_once_in_single_precision(splu_calls, monkeypatch):
     # one complex64 factorization, refined in complex128 to a backward
     # error within the bar, gives the complex128 solution to 1e-10
-    A, b, bases, sizes, order = _unclipped_rung()
+    A, b, basis, order = _unclipped_rung()
     backward = []
     factored = solve_pipeline._factored_solve
 
@@ -650,10 +638,10 @@ def test_unclipped_rung_factors_once_in_single_precision(splu_calls, monkeypatch
         return x, sigma_min, error
 
     monkeypatch.setattr(solve_pipeline, "_factored_solve", spy)
-    x = _direct_solve(A, b, "test", bases, sizes, order)
+    x = _direct_solve(A, b, "test", basis, order)
     assert [call[:2] for call in splu_calls] == [("NATURAL", np.complex64)]
     assert backward[0] <= solve_pipeline.REFINED_BACKWARD_ERROR
-    reference = _direct_solve(A, b, "test", bases, sizes, order, clipped=True)
+    reference = _direct_solve(A, b, "test", replace(basis, clipped=True), order)
     assert splu_calls[1][:2] == ("NATURAL", np.complex128)
     assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
 
@@ -679,11 +667,11 @@ def test_declined_single_precision_takes_the_double_precision_path(
     # step, declines the complex64 solve: the rung is factored again in
     # complex128, and its solution is bitwise that of the complex128 path
     # under the same setting
-    A, b, bases, sizes, order = _unclipped_rung()
+    A, b, basis, order = _unclipped_rung()
     monkeypatch.setattr(solve_pipeline, setting, value)
-    reference = _direct_solve(A, b, "test", bases, sizes, order, clipped=True)
+    reference = _direct_solve(A, b, "test", replace(basis, clipped=True), order)
     splu_calls.clear()
-    x = _direct_solve(A, b, "test", bases, sizes, order)
+    x = _direct_solve(A, b, "test", basis, order)
     assert [call[:2] for call in splu_calls] == [
         ("NATURAL", np.complex64),
         ("NATURAL", np.complex128),
@@ -699,11 +687,11 @@ def test_small_load_factors_once_in_single_precision(scale, splu_calls):
     mesh = build_unit_disk_mesh(6)
     p, omega = 3, 20.0
     params = FormParameters(omega=omega, p=p)
-    A, bases, sizes = _standard_case(mesh, p, omega)
+    A, basis = _standard_case(mesh, p, omega)
     b = assemble_rhs(mesh, params, None, plane_wave_case(omega).g)
-    unit = _direct_solve(A, b, "test", bases, sizes, mesh.dissection_order)
+    unit = _direct_solve(A, b, "test", basis, mesh.dissection_order)
     splu_calls.clear()
-    x = _direct_solve(A, scale * b, "test", bases, sizes, mesh.dissection_order)
+    x = _direct_solve(A, scale * b, "test", basis, mesh.dissection_order)
     assert [call[:2] for call in splu_calls] == [("NATURAL", np.complex64)]
     assert np.linalg.norm(x - scale * unit) <= 1e-12 * np.linalg.norm(scale * unit)
 
